@@ -1,8 +1,8 @@
 //! Substrate bench: the from-scratch Hungarian algorithm (Theorem 19's
-//! engine) and Hopcroft–Karp, swept over problem size.
+//! engine), swept over problem size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cpo_matching::{hungarian_min_cost, max_bipartite_matching};
+use cpo_matching::hungarian_min_cost;
 use rand::prelude::*;
 use std::hint::black_box;
 
@@ -17,13 +17,6 @@ fn bench(c: &mut Criterion) {
             (0..n).map(|_| (0..n + 8).map(|_| rng.gen_range(0.0..100.0)).collect()).collect();
         g.bench_with_input(BenchmarkId::new("hungarian", n), &n, |b, _| {
             b.iter(|| hungarian_min_cost(black_box(&cost)).expect("feasible"))
-        });
-
-        let adj: Vec<Vec<usize>> = (0..n)
-            .map(|_| (0..n).filter(|_| rng.gen_bool(0.3)).collect())
-            .collect();
-        g.bench_with_input(BenchmarkId::new("hopcroft_karp", n), &n, |b, _| {
-            b.iter(|| max_bipartite_matching(n, n, black_box(&adj)))
         });
     }
     g.finish();

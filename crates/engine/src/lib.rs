@@ -64,25 +64,13 @@ impl<'a> BatchItem<'a> {
     pub fn new(apps: &'a AppSet, platform: &'a Platform, spec: &'a ProblemSpec) -> Self {
         BatchItem { apps, platform, spec }
     }
-
-    /// Instance part of the cache key: a 128-bit structural digest of
-    /// apps + platform. Computed once per *distinct* instance per batch —
-    /// see [`Engine::solve_batch_with`].
-    fn instance_key(&self) -> u128 {
-        hash_instance(self.apps, self.platform)
-    }
-
-    /// Full cache key: precomputed instance digest + spec digest.
-    fn cache_key(&self, instance_key: u128) -> CacheKey {
-        (instance_key, hash_spec(self.spec))
-    }
-
 }
 
-/// A planner verdict computed once by the adaptive cutoff and reused by
-/// the solve (`Err` carries the unsupported-combination reason exactly
-/// as `route_with` would report it).
-type Planned = Result<Plan, String>;
+/// A [`plan`] verdict computed once — by the adaptive cutoff or by a
+/// caller's deadline gate — and reused by the solve (`Err` carries the
+/// unsupported-combination reason exactly as `route_with` would report
+/// it).
+pub type Planned = Result<Plan, String>;
 
 /// Default [`EngineConfig::min_parallel_cost`]: roughly tens of
 /// milliseconds of estimated single-thread work. Below it, spawning
@@ -280,9 +268,27 @@ impl Engine {
         spec: &ProblemSpec,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
-        let item = BatchItem::new(apps, platform, spec);
-        let ikey = self.cfg.cache.then(|| item.instance_key());
-        self.solve_item_guarded(None, &item, ikey, None, scratch)
+        let key = self.cfg.cache.then(|| (hash_instance(apps, platform), hash_spec(spec)));
+        self.solve_item_guarded(None, &BatchItem::new(apps, platform, spec), key, None, scratch)
+    }
+
+    /// [`Engine::solve_with`] for a caller that already holds the
+    /// request's cache key, and possibly its [`plan`] verdict — the serve
+    /// path, which digests every request at admission and plans it at the
+    /// deadline gate. Neither is computed again. `key` must be
+    /// `(hash_instance(apps, platform), hash_spec(spec))` and `planned`
+    /// the `plan` result for this exact triple.
+    pub fn solve_planned(
+        &self,
+        apps: &AppSet,
+        platform: &Platform,
+        spec: &ProblemSpec,
+        key: CacheKey,
+        planned: Option<&Planned>,
+        scratch: &mut RouterScratch,
+    ) -> SolveOutcome {
+        let key = self.cfg.cache.then_some(key);
+        self.solve_item_guarded(None, &BatchItem::new(apps, platform, spec), key, planned, scratch)
     }
 
     /// Solve a batch; `results[i]` answers `items[i]`.
@@ -303,19 +309,19 @@ impl Engine {
         if n == 0 {
             return Vec::new();
         }
-        let instance_keys = self.instance_keys(items);
-        let (threads, plans) = self.decide_threads(items, &instance_keys);
+        let keys = self.cache_keys(items);
+        let (threads, plans) = self.decide_threads(items, &keys);
 
         if threads == 1 {
             let mut scratch = RouterScratch::new();
             return items
                 .iter()
-                .zip(&instance_keys)
+                .zip(&keys)
                 .zip(&plans)
                 .enumerate()
-                .map(|(i, ((item, ikey), planned))| {
+                .map(|(i, ((item, key), planned))| {
                     let out =
-                        self.solve_item_guarded(Some(i), item, *ikey, planned.as_ref(), &mut scratch);
+                        self.solve_item_guarded(Some(i), item, *key, planned.as_ref(), &mut scratch);
                     on_result(i, &out);
                     out
                 })
@@ -343,7 +349,7 @@ impl Engine {
                             let out = self.solve_item_guarded(
                                 Some(i),
                                 &items[i],
-                                instance_keys[i],
+                                keys[i],
                                 plans[i].as_ref(),
                                 &mut scratch,
                             );
@@ -379,14 +385,15 @@ impl Engine {
     /// callers (and the determinism tests) can observe the decision
     /// without timing anything.
     pub fn effective_threads(&self, items: &[BatchItem<'_>]) -> usize {
-        let keys = self.instance_keys(items);
+        let keys = self.cache_keys(items);
         self.decide_threads(items, &keys).0
     }
 
-    /// Instance cache-key parts, computed once per *distinct* instance
-    /// (batches routinely share one instance across many specs; keying
-    /// must not re-hash it per item). All `None` when the cache is off.
-    fn instance_keys(&self, items: &[BatchItem<'_>]) -> Vec<Option<u128>> {
+    /// Per-item cache keys, each digest computed once: the instance half
+    /// once per *distinct* instance (batches routinely share one instance
+    /// across many specs), the spec half once per item. All `None` when
+    /// the cache is off.
+    fn cache_keys(&self, items: &[BatchItem<'_>]) -> Vec<Option<CacheKey>> {
         if !self.cfg.cache {
             return vec![None; items.len()];
         }
@@ -398,20 +405,22 @@ impl Engine {
                     item.apps as *const AppSet as usize,
                     item.platform as *const Platform as usize,
                 );
-                Some(*by_ptr.entry(ptrs).or_insert_with(|| item.instance_key()))
+                let instance =
+                    *by_ptr.entry(ptrs).or_insert_with(|| hash_instance(item.apps, item.platform));
+                Some((instance, hash_spec(item.spec)))
             })
             .collect()
     }
 
     /// The cutoff decision behind [`Engine::effective_threads`], reusing
-    /// already-computed instance keys. Also returns the per-item planner
+    /// already-computed cache keys. Also returns the per-item planner
     /// verdicts it produced along the way (`None` for cached items and
     /// whenever the cutoff is inactive), so the solve paths never plan an
     /// item twice.
     fn decide_threads(
         &self,
         items: &[BatchItem<'_>],
-        instance_keys: &[Option<u128>],
+        keys: &[Option<CacheKey>],
     ) -> (usize, Vec<Option<Planned>>) {
         let threads = match self.cfg.threads {
             0 => std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
@@ -425,17 +434,8 @@ impl Engine {
         // does not bump recency — planning an item is not a use), so the
         // planning loop below never blocks concurrent lookups on this
         // engine.
-        let cached: Vec<bool> = if self.cfg.cache {
-            items
-                .iter()
-                .zip(instance_keys)
-                .map(|(item, ikey)| {
-                    ikey.is_some_and(|ik| self.cache.contains(&item.cache_key(ik)))
-                })
-                .collect()
-        } else {
-            vec![false; items.len()]
-        };
+        let cached: Vec<bool> =
+            keys.iter().map(|key| key.is_some_and(|k| self.cache.contains(&k))).collect();
         let mut estimate = 0u64;
         let mut plans = Vec::with_capacity(items.len());
         for (i, (item, &is_cached)) in items.iter().zip(&cached).enumerate() {
@@ -488,7 +488,7 @@ impl Engine {
         &self,
         index: Option<usize>,
         item: &BatchItem<'_>,
-        instance_key: Option<u128>,
+        key: Option<CacheKey>,
         planned: Option<&Planned>,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
@@ -498,7 +498,7 @@ impl Engine {
                     panic!("injected fault: debug_panic_on_item({i})");
                 }
             }
-            self.solve_item(index, item, instance_key, planned, scratch)
+            self.solve_item(index, item, key, planned, scratch)
         }));
         res.unwrap_or_else(|panic| {
             *scratch = RouterScratch::new();
@@ -512,11 +512,10 @@ impl Engine {
         &self,
         index: Option<usize>,
         item: &BatchItem<'_>,
-        instance_key: Option<u128>,
+        key: Option<CacheKey>,
         planned: Option<&Planned>,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
-        let key = instance_key.map(|ik| item.cache_key(ik));
         if let Some(k) = &key {
             if let Some(hit) = self.cache.get(k) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -528,8 +527,8 @@ impl Engine {
         // outcomes; the catch_unwind is a last-resort guarantee that one
         // item can never take down a batch.
         let out = match catch_unwind(AssertUnwindSafe(|| match planned {
-            // The adaptive cutoff already planned this item; don't pay
-            // the planner twice.
+            // The adaptive cutoff or the caller already planned this
+            // item; don't pay the planner twice.
             Some(Ok(p)) => route_planned(item.apps, item.platform, item.spec, *p, scratch),
             Some(Err(reason)) => SolveOutcome::Unsupported { reason: reason.clone() },
             None => route_with(item.apps, item.platform, item.spec, scratch),
@@ -585,6 +584,32 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 4);
+    }
+
+    #[test]
+    fn solve_planned_trusts_the_callers_key_and_plan() {
+        let (apps, pf) = instance();
+        let period = ProblemSpec::new(Objective::Period, Strategy::Interval, CommModel::Overlap);
+        let latency = ProblemSpec::new(Objective::Latency, Strategy::Interval, CommModel::Overlap);
+        let engine = Engine::new(EngineConfig::with_threads(1));
+        let mut scratch = RouterScratch::new();
+        let key = (hash_instance(&apps, &pf), hash_spec(&period));
+
+        // The given plan is executed as is: a planner verdict is never
+        // recomputed.
+        let verdict: Planned = Err("verdict from the caller".into());
+        let out = engine.solve_planned(&apps, &pf, &period, key, Some(&verdict), &mut scratch);
+        assert_eq!(out, SolveOutcome::Unsupported { reason: "verdict from the caller".into() });
+        engine.clear_cache();
+
+        let planned = plan(&apps, &pf, &period);
+        let out = engine.solve_planned(&apps, &pf, &period, key, Some(&planned), &mut scratch);
+        assert_eq!(out, engine.solve(&apps, &pf, &period));
+        // The given key is used as is, not recomputed from the spec: a
+        // different spec under the same key is answered from the cache.
+        let hit = engine.solve_planned(&apps, &pf, &latency, key, None, &mut scratch);
+        assert_eq!(hit, out);
+        assert_eq!(engine.cache_stats().misses, 2);
     }
 
     #[test]

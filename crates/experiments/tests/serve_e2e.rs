@@ -95,6 +95,9 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
         "42".to_string(),
         "{\"description\": \"missing everything\"}".to_string(),
         request_line(1.0),
+        // Nesting far past the parser's depth limit: a typed parse error,
+        // not a stack overflow.
+        "[".repeat(100_000),
     ];
     let path = dir.join("batch.jsonl");
     std::fs::write(&path, lines.join("\n")).expect("write batch file");
@@ -107,7 +110,7 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
         .map(|l| SolveOutcome::from_json(l).expect("every batch line is a typed outcome"))
         .collect();
     assert_eq!(outcomes.len(), lines.len(), "one outcome per input line, garbage included");
-    for (i, expect_garbage) in [false, true, false, true, true, false].iter().enumerate() {
+    for (i, expect_garbage) in [false, true, false, true, true, false, true].iter().enumerate() {
         match (&outcomes[i], expect_garbage) {
             (SolveOutcome::Solution { .. }, false) => {}
             (SolveOutcome::Unsupported { reason }, true) => {
@@ -129,6 +132,10 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
 fn serve_once_answers_every_line_exactly_once() {
     let dir = scratch("clean");
     let reqs = generate(&dir, &["--mix", "mixed", "--count", "48", "--seed", "3", "--garbage", "2"]);
+    // One more garbage line, nested far past the parser's depth limit: it
+    // must get its typed `Invalid` reply like any other.
+    let reqs = format!("{}\n{}\n", reqs.trim_end(), "[".repeat(100_000));
+    std::fs::write(dir.join("reqs.jsonl"), &reqs).expect("rewrite request file");
     let (replies, _) = serve_once(&reqs, &[], &[]);
     verify(&dir, &replies);
 }

@@ -26,9 +26,8 @@
 //! (alternating-path recoloring, König's theorem), then each round is
 //! routed contention-free. The round count *is* the contention factor of
 //! a time-multiplexed fabric. We deliberately do not peel rounds with
-//! repeated Hopcroft–Karp maximum matchings
-//! ([`crate::hopcroft_karp`]): removing a maximum matching from a
-//! bipartite multigraph can strand low-degree edges and exceed `Δ`
+//! repeated maximum-cardinality matchings: removing a maximum matching
+//! from a bipartite multigraph can strand low-degree edges and exceed `Δ`
 //! rounds (e.g. `{a–c, a–d, b–c, e–d}` has `Δ = 2` but a bad maximum
 //! matching `{a–c, e–d}` forces 3 rounds), while edge coloring is
 //! optimal by König.

@@ -8,17 +8,13 @@
 //! * [`hungarian`] — the Hungarian algorithm (Kuhn–Munkres with potentials,
 //!   O(n²m)) for minimum-cost assignment with forbidden (`∞`) edges and
 //!   rectangular cost matrices;
-//! * [`hopcroft_karp`] — Hopcroft–Karp maximum-cardinality matching
-//!   (O(E·√V)), used for pure feasibility questions;
 //! * [`benes`] — rearrangeable permutation routing through Benes
 //!   multistage networks (the looping algorithm) plus exact bipartite
 //!   round decomposition, the machinery behind
 //!   `CommTopology::Multistage` platforms.
 
 pub mod benes;
-pub mod hopcroft_karp;
 pub mod hungarian;
 
 pub use benes::{decompose_rounds, BenesNetwork, BenesRouting};
-pub use hopcroft_karp::max_bipartite_matching;
 pub use hungarian::{hungarian_min_cost, AssignmentResult, CostMatrix, HungarianWorkspace};

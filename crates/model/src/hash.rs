@@ -1,16 +1,15 @@
-//! Cheap, deterministic 128-bit structural hashing of instances and
-//! specs.
+//! Cheap, deterministic 128-bit structural hashing of instances, specs
+//! and outcomes.
 //!
-//! The batch engine memoizes solve outcomes keyed on *(instance, spec)*.
-//! Serializing both to canonical JSON made the key exact but cost more
-//! than many of the solves it was meant to skip; this module replaces it
-//! with a single pass over the structure feeding every scalar (f64 bit
-//! patterns, lengths, enum discriminants) into two independently mixed
-//! 64-bit lanes. The resulting 128-bit digest is:
+//! The batch engine memoizes solve outcomes keyed on *(instance, spec)*,
+//! serve quarantines requests by the same key, and repro bundles record
+//! outcome digests. Every scalar of the value (f64 bit patterns, lengths,
+//! enum variant indices) is fed into two independently mixed 64-bit
+//! lanes; the resulting 128-bit digest is:
 //!
 //! * **deterministic across runs and processes** (fixed seeds, no
 //!   `RandomState`), so cache behavior is reproducible;
-//! * **structure-sensitive**: lengths and discriminant tags are hashed
+//! * **structure-sensitive**: lengths and variant indices are hashed
 //!   before their payloads, so `[1.0, 2.0] ++ []` and `[1.0] ++ [2.0]`
 //!   differ, as do `None` and `Some(0)`;
 //! * **collision-safe in practice**: with two independent 64-bit lanes a
@@ -19,19 +18,32 @@
 //!   negligible next to cosmic-ray rates for any feasible cache size.
 //!   (The hash is *not* adversarially secure; the cache is a performance
 //!   device over the caller's own workload, not a trust boundary.)
+//!
+//! # Derivation rule
+//!
+//! The digest stream is derived from each type's `#[derive(Serialize)]`:
+//! `&mut StructuralHasher` is a [`serde::Serializer`], so a field added to
+//! a type enters its digest with no hashing code to update. The stream:
+//!
+//! * integers → [`StructuralHasher::write_u64`], `bool` →
+//!   [`StructuralHasher::write_bool`], `f64` → [`StructuralHasher::write_f64`]
+//!   (bit pattern: `-0.0 ≠ 0.0`, NaN payloads distinct), strings →
+//!   [`StructuralHasher::write_str`];
+//! * `None` → `0`; `Some(v)` → `1`, then `v`;
+//! * sequences and maps write their length before their items;
+//! * enums write their variant index before their payload;
+//! * struct, field and variant names are not hashed (renaming a field
+//!   keeps digests; reordering fields or variants changes them).
+//!
+//! **The single exclusion:** fields marked `#[serde(skip_serializing)]`
+//! stay out of the digest. Today that is only `Application::work_prefix`,
+//! a prefix-sum cache derived from the stages.
 
-use crate::application::{AppSet, Application, Stage};
-use crate::eval::CommModel;
-use crate::mapping::{Assignment, Interval, Mapping};
-use crate::objective::Thresholds;
-use crate::platform::{Links, Platform, Processor};
-use crate::replication::{ReplicatedAssignment, ReplicatedMapping};
-use crate::sharing::{GeneralMapping, SharedAssignment};
-use crate::spec::{
-    FrontEntry, Objective, ProblemSpec, SolveOutcome, SolvedMapping, SolvedPoint, SolverHints,
-    Strategy,
-};
-use crate::topology::CommTopology;
+use crate::application::AppSet;
+use crate::platform::Platform;
+use crate::spec::{ProblemSpec, SolveOutcome};
+use serde::ser::{self, Serialize};
+use std::fmt;
 
 /// splitmix64 finalizer: a full-avalanche 64-bit mixer.
 fn mix(mut x: u64) -> u64 {
@@ -85,36 +97,16 @@ impl StructuralHasher {
 
     /// Feed a string (length-prefixed, 8 bytes per word).
     pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        for chunk in s.as_bytes().chunks(8) {
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Feed a byte string (length-prefixed, 8 bytes per word).
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        for chunk in bytes.chunks(8) {
             let mut w = [0u8; 8];
             w[..chunk.len()].copy_from_slice(chunk);
             self.write_u64(u64::from_le_bytes(w));
-        }
-    }
-
-    /// Feed an optional f64 (tagged).
-    pub fn write_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.write_u64(0),
-            Some(x) => {
-                self.write_u64(1);
-                self.write_f64(x);
-            }
-        }
-    }
-
-    /// Feed an optional f64 slice (tagged + length-prefixed).
-    pub fn write_opt_slice(&mut self, v: Option<&[f64]>) {
-        match v {
-            None => self.write_u64(0),
-            Some(xs) => {
-                self.write_u64(1);
-                self.write_usize(xs.len());
-                for &x in xs {
-                    self.write_f64(x);
-                }
-            }
         }
     }
 
@@ -124,322 +116,217 @@ impl StructuralHasher {
     }
 }
 
-/// Types with a stable structural hash (every semantically meaningful
-/// field, in declaration order — mirrors the derived `PartialEq`).
-pub trait StableHash {
-    /// Feed this value into `h`.
-    fn stable_hash(&self, h: &mut StructuralHasher);
-}
+/// Error from the hashing serializer. Derived `Serialize` impls never
+/// raise it; only a hand-written impl calling [`ser::Error::custom`] or a
+/// sequence of unknown length can.
+#[derive(Debug)]
+pub struct HashError(String);
 
-impl StableHash for Stage {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_f64(self.work);
-        h.write_f64(self.output);
+impl fmt::Display for HashError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot hash: {}", self.0)
     }
 }
 
-impl StableHash for Application {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_f64(self.input);
-        h.write_usize(self.stages.len());
-        for s in &self.stages {
-            s.stable_hash(h);
+impl std::error::Error for HashError {}
+
+impl ser::Error for HashError {
+    fn custom<T: fmt::Display>(msg: T) -> Self {
+        HashError(msg.to_string())
+    }
+}
+
+type Hashed = Result<(), HashError>;
+
+/// Integers and `char`s hash as one word, `v as u64` (signed integers
+/// sign-extend).
+macro_rules! hash_words {
+    ($($method:ident: $t:ty),* $(,)?) => {$(
+        fn $method(self, v: $t) -> Hashed {
+            self.write_u64(v as u64);
+            Ok(())
         }
-        h.write_f64(self.weight);
-        h.write_str(&self.name);
+    )*};
+}
+
+/// The derivation rule of the module docs, as a serde data format.
+impl ser::Serializer for &mut StructuralHasher {
+    type Ok = ();
+    type Error = HashError;
+    type SerializeSeq = Self;
+    type SerializeTuple = Self;
+    type SerializeTupleStruct = Self;
+    type SerializeTupleVariant = Self;
+    type SerializeMap = Self;
+    type SerializeStruct = Self;
+    type SerializeStructVariant = Self;
+
+    fn serialize_bool(self, v: bool) -> Hashed {
+        self.write_bool(v);
+        Ok(())
+    }
+    hash_words! {
+        serialize_i8: i8,
+        serialize_i16: i16,
+        serialize_i32: i32,
+        serialize_i64: i64,
+        serialize_u8: u8,
+        serialize_u16: u16,
+        serialize_u32: u32,
+        serialize_u64: u64,
+        serialize_char: char,
+    }
+    fn serialize_f32(self, v: f32) -> Hashed {
+        self.serialize_f64(v.into())
+    }
+    fn serialize_f64(self, v: f64) -> Hashed {
+        self.write_f64(v);
+        Ok(())
+    }
+    fn serialize_str(self, v: &str) -> Hashed {
+        self.write_str(v);
+        Ok(())
+    }
+    fn serialize_bytes(self, v: &[u8]) -> Hashed {
+        self.write_bytes(v);
+        Ok(())
+    }
+    fn serialize_none(self) -> Hashed {
+        self.serialize_u64(0)
+    }
+    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Hashed {
+        self.write_u64(1);
+        value.serialize(self)
+    }
+    fn serialize_unit(self) -> Hashed {
+        Ok(())
+    }
+    fn serialize_unit_struct(self, _name: &'static str) -> Hashed {
+        Ok(())
+    }
+    fn serialize_unit_variant(
+        self,
+        _name: &'static str,
+        index: u32,
+        _variant: &'static str,
+    ) -> Hashed {
+        self.serialize_u32(index)
+    }
+    fn serialize_newtype_struct<T: Serialize + ?Sized>(
+        self,
+        _name: &'static str,
+        value: &T,
+    ) -> Hashed {
+        value.serialize(self)
+    }
+    fn serialize_newtype_variant<T: Serialize + ?Sized>(
+        self,
+        _name: &'static str,
+        index: u32,
+        _variant: &'static str,
+        value: &T,
+    ) -> Hashed {
+        self.write_u64(index.into());
+        value.serialize(self)
+    }
+    fn serialize_seq(self, len: Option<usize>) -> Result<Self, HashError> {
+        self.write_usize(len.ok_or_else(|| HashError("sequence of unknown length".into()))?);
+        Ok(self)
+    }
+    fn serialize_tuple(self, _len: usize) -> Result<Self, HashError> {
+        Ok(self)
+    }
+    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, HashError> {
+        Ok(self)
+    }
+    fn serialize_tuple_variant(
+        self,
+        _name: &'static str,
+        index: u32,
+        _variant: &'static str,
+        _len: usize,
+    ) -> Result<Self, HashError> {
+        self.write_u64(index.into());
+        Ok(self)
+    }
+    fn serialize_map(self, len: Option<usize>) -> Result<Self, HashError> {
+        self.serialize_seq(len)
+    }
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, HashError> {
+        Ok(self)
+    }
+    fn serialize_struct_variant(
+        self,
+        _name: &'static str,
+        index: u32,
+        _variant: &'static str,
+        _len: usize,
+    ) -> Result<Self, HashError> {
+        self.write_u64(index.into());
+        Ok(self)
     }
 }
 
-impl StableHash for AppSet {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.apps.len());
-        for a in &self.apps {
-            a.stable_hash(h);
-        }
-    }
-}
-
-impl StableHash for Processor {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.modes());
-        for &s in self.speeds() {
-            h.write_f64(s);
-        }
-        h.write_f64(self.e_stat);
-    }
-}
-
-impl StableHash for Links {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        match self {
-            Links::Uniform(b) => {
-                h.write_u64(0);
-                h.write_f64(*b);
+/// The compound halves: every element, field, key and value is hashed in
+/// order; names are not.
+macro_rules! hash_compound {
+    ($($compound:ident :: $method:ident ($($name:ident)?)),* $(,)?) => {$(
+        impl ser::$compound for &mut StructuralHasher {
+            type Ok = ();
+            type Error = HashError;
+            fn $method<T: Serialize + ?Sized>(
+                &mut self,
+                $($name: &'static str,)?
+                value: &T,
+            ) -> Hashed {
+                value.serialize(&mut **self)
             }
-            Links::PerApp(bs) => {
-                h.write_u64(1);
-                h.write_usize(bs.len());
-                for &b in bs {
-                    h.write_f64(b);
-                }
-            }
-            Links::Heterogeneous { inter, input, output } => {
-                h.write_u64(2);
-                for table in [inter, input, output] {
-                    h.write_usize(table.len());
-                    for row in table {
-                        h.write_usize(row.len());
-                        for &b in row {
-                            h.write_f64(b);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl StableHash for CommTopology {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        match self {
-            CommTopology::Dedicated => h.write_u64(0),
-            CommTopology::Multistage(net) => {
-                h.write_u64(1);
-                h.write_f64(net.link_bandwidth);
-                h.write_f64(net.hop_latency);
-            }
-        }
-    }
-}
-
-impl StableHash for Platform {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.procs.len());
-        for p in &self.procs {
-            p.stable_hash(h);
-        }
-        self.links.stable_hash(h);
-        self.topology.stable_hash(h);
-    }
-}
-
-impl StableHash for CommModel {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_u64(match self {
-            CommModel::Overlap => 0,
-            CommModel::NoOverlap => 1,
-        });
-    }
-}
-
-impl StableHash for Objective {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_u64(match self {
-            Objective::Period => 0,
-            Objective::Latency => 1,
-            Objective::Energy => 2,
-            Objective::PeriodEnergyFront => 3,
-            Objective::PeriodLatencyFront => 4,
-        });
-    }
-}
-
-impl StableHash for Strategy {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_u64(match self {
-            Strategy::OneToOne => 0,
-            Strategy::Interval => 1,
-            Strategy::Replicated => 2,
-            Strategy::General => 3,
-        });
-    }
-}
-
-impl StableHash for Thresholds {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_opt_slice(self.period.as_deref());
-        h.write_opt_slice(self.latency.as_deref());
-        h.write_opt_f64(self.energy);
-    }
-}
-
-impl StableHash for SolverHints {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_bool(self.exact_fallback);
-        h.write_bool(self.heuristic_fallback);
-        match self.sweep_threads {
-            None => h.write_u64(0),
-            Some(n) => {
-                h.write_u64(1);
-                h.write_usize(n);
-            }
-        }
-        match self.local_search_iterations {
-            None => h.write_u64(0),
-            Some(n) => {
-                h.write_u64(1);
-                h.write_usize(n);
-            }
-        }
-        match self.seed {
-            None => h.write_u64(0),
-            Some(s) => {
-                h.write_u64(1);
-                h.write_u64(s);
-            }
-        }
-    }
-}
-
-impl StableHash for ProblemSpec {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_u64(u64::from(self.version));
-        self.objective.stable_hash(h);
-        self.strategy.stable_hash(h);
-        self.comm.stable_hash(h);
-        self.constraints.stable_hash(h);
-        self.hints.stable_hash(h);
-    }
-}
-
-impl StableHash for Interval {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.app);
-        h.write_usize(self.first);
-        h.write_usize(self.last);
-    }
-}
-
-impl StableHash for Assignment {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        self.interval.stable_hash(h);
-        h.write_usize(self.proc);
-        h.write_usize(self.mode);
-    }
-}
-
-impl StableHash for Mapping {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.assignments.len());
-        for a in &self.assignments {
-            a.stable_hash(h);
-        }
-    }
-}
-
-impl StableHash for ReplicatedAssignment {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        self.interval.stable_hash(h);
-        h.write_usize(self.procs.len());
-        for &p in &self.procs {
-            h.write_usize(p);
-        }
-        h.write_usize(self.modes.len());
-        for &m in &self.modes {
-            h.write_usize(m);
-        }
-    }
-}
-
-impl StableHash for ReplicatedMapping {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.assignments.len());
-        for a in &self.assignments {
-            a.stable_hash(h);
-        }
-    }
-}
-
-impl StableHash for SharedAssignment {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        self.interval.stable_hash(h);
-        h.write_usize(self.proc);
-        h.write_usize(self.mode);
-    }
-}
-
-impl StableHash for GeneralMapping {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_usize(self.assignments.len());
-        for a in &self.assignments {
-            a.stable_hash(h);
-        }
-    }
-}
-
-impl StableHash for SolvedMapping {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        match self {
-            SolvedMapping::Plain(m) => {
-                h.write_u64(0);
-                m.stable_hash(h);
-            }
-            SolvedMapping::Replicated(m) => {
-                h.write_u64(1);
-                m.stable_hash(h);
-            }
-            SolvedMapping::General(m) => {
-                h.write_u64(2);
-                m.stable_hash(h);
+            fn end(self) -> Hashed {
+                Ok(())
             }
         }
+    )*};
+}
+
+hash_compound! {
+    SerializeSeq::serialize_element(),
+    SerializeTuple::serialize_element(),
+    SerializeTupleStruct::serialize_field(),
+    SerializeTupleVariant::serialize_field(),
+    SerializeStruct::serialize_field(_field),
+    SerializeStructVariant::serialize_field(_field),
+}
+
+impl ser::SerializeMap for &mut StructuralHasher {
+    type Ok = ();
+    type Error = HashError;
+    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Hashed {
+        key.serialize(&mut **self)
+    }
+    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Hashed {
+        value.serialize(&mut **self)
+    }
+    fn end(self) -> Hashed {
+        Ok(())
     }
 }
 
-impl StableHash for SolvedPoint {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_f64(self.objective);
-        self.mapping.stable_hash(h);
-    }
-}
-
-impl StableHash for FrontEntry {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        h.write_f64(self.achieved);
-        h.write_f64(self.objective);
-        self.mapping.stable_hash(h);
-    }
-}
-
-impl StableHash for SolveOutcome {
-    fn stable_hash(&self, h: &mut StructuralHasher) {
-        match self {
-            SolveOutcome::Solution(p) => {
-                h.write_u64(0);
-                p.stable_hash(h);
-            }
-            SolveOutcome::Front(entries) => {
-                h.write_u64(1);
-                h.write_usize(entries.len());
-                for e in entries {
-                    e.stable_hash(h);
-                }
-            }
-            SolveOutcome::Infeasible { reason } => {
-                h.write_u64(2);
-                h.write_str(reason);
-            }
-            SolveOutcome::Unsupported { reason } => {
-                h.write_u64(3);
-                h.write_str(reason);
-            }
-        }
-    }
+/// 128-bit digest of any serializable value, by the derivation rule.
+fn digest<T: Serialize + ?Sized>(value: &T) -> u128 {
+    let mut h = StructuralHasher::new();
+    value.serialize(&mut h).expect("derived Serialize impls always hash");
+    h.finish()
 }
 
 /// 128-bit digest of an instance (applications + platform).
 pub fn hash_instance(apps: &AppSet, platform: &Platform) -> u128 {
-    let mut h = StructuralHasher::new();
-    apps.stable_hash(&mut h);
-    platform.stable_hash(&mut h);
-    h.finish()
+    // A tuple hashes as its elements back to back (no length word).
+    digest(&(apps, platform))
 }
 
 /// 128-bit digest of a problem spec.
 pub fn hash_spec(spec: &ProblemSpec) -> u128 {
-    let mut h = StructuralHasher::new();
-    spec.stable_hash(&mut h);
-    h.finish()
+    digest(spec)
 }
 
 /// 128-bit digest of a solve outcome — every field bitwise (objectives and
@@ -448,9 +335,7 @@ pub fn hash_spec(spec: &ProblemSpec) -> u128 {
 /// what repro bundles record and what `replay` compares: it survives NaN
 /// contamination that JSON round-trips cannot represent.
 pub fn hash_outcome(outcome: &SolveOutcome) -> u128 {
-    let mut h = StructuralHasher::new();
-    outcome.stable_hash(&mut h);
-    h.finish()
+    digest(outcome)
 }
 
 /// Canonical lower-hex rendering of a 128-bit digest (for bundles, file
@@ -467,7 +352,16 @@ pub fn parse_digest_hex(s: &str) -> Option<u128> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::CommModel;
     use crate::generator::section2_example;
+    use crate::io::json_value::{from_value, to_value, Value};
+    use crate::mapping::{Interval, Mapping};
+    use crate::objective::Thresholds;
+    use crate::platform::{Links, Processor};
+    use crate::replication::{ReplicatedAssignment, ReplicatedMapping};
+    use crate::spec::{FrontEntry, Objective, SolvedMapping, SolvedPoint, SolverHints, Strategy};
+    use crate::topology::{CommTopology, MultistageNetwork};
+    use serde::de::DeserializeOwned;
 
     fn spec() -> ProblemSpec {
         ProblemSpec::new(Objective::Energy, Strategy::Interval, CommModel::Overlap)
@@ -481,76 +375,155 @@ mod tests {
         assert_eq!(hash_spec(&spec()), hash_spec(&spec()));
     }
 
-    #[test]
-    fn every_field_perturbation_changes_the_digest() {
-        let (apps, pf) = section2_example();
-        let base = hash_instance(&apps, &pf);
+    /// Replace leaf `target` (depth-first order over number, bool and
+    /// string leaves) with a different value of the same JSON type.
+    /// Returns `false` once `target` is past the last leaf.
+    fn perturb_leaf(v: &mut Value, target: &mut usize) -> bool {
+        let hit = |target: &mut usize| std::mem::replace(target, target.wrapping_sub(1)) == 0;
+        match v {
+            Value::Null => false,
+            Value::Num(x) => {
+                hit(target) && {
+                    *x = *x * 2.0 + 1.0;
+                    true
+                }
+            }
+            Value::Bool(b) => {
+                hit(target) && {
+                    *b = !*b;
+                    true
+                }
+            }
+            Value::Str(s) => {
+                hit(target) && {
+                    s.push('x');
+                    true
+                }
+            }
+            Value::Arr(items) => items.iter_mut().any(|item| perturb_leaf(item, target)),
+            Value::Obj(map) => map.values_mut().any(|item| perturb_leaf(item, target)),
+        }
+    }
 
-        let mut w = apps.clone();
-        w.apps[0].stages[0].work += 1.0;
-        assert_ne!(hash_instance(&w, &pf), base);
-
-        let mut o = apps.clone();
-        o.apps[1].stages[2].output += 0.5;
-        assert_ne!(hash_instance(&o, &pf), base);
-
-        let mut wt = apps.clone();
-        wt.apps[0].weight = 2.0;
-        assert_ne!(hash_instance(&wt, &pf), base);
-
-        let mut pm = pf.clone();
-        pm.procs[0].e_stat += 1.0;
-        assert_ne!(hash_instance(&apps, &pm), base);
-
-        let bigger = Platform::fully_homogeneous(pf.p() + 1, vec![1.0, 2.0], 1.0).unwrap();
-        assert_ne!(hash_instance(&apps, &bigger), base);
+    /// Perturb every leaf of `value`'s JSON form in turn and assert each
+    /// perturbation that still deserializes changes the digest. Returns
+    /// how many leaves were skipped because the deserializers reject the
+    /// perturbed form (a unit variant's name no longer names a variant).
+    fn assert_every_leaf_is_hashed<T: Serialize + DeserializeOwned + fmt::Debug>(
+        value: &T,
+    ) -> usize {
+        let base = digest(value);
+        let tree = to_value(value).expect("renders");
+        let (mut checked, mut skipped) = (0, 0);
+        for leaf in 0.. {
+            let mut perturbed = tree.clone();
+            if !perturb_leaf(&mut perturbed, &mut leaf.clone()) {
+                break;
+            }
+            match from_value::<T>(perturbed) {
+                Ok(changed) => {
+                    assert_ne!(digest(&changed), base, "leaf {leaf} of {value:?} is not hashed");
+                    checked += 1;
+                }
+                Err(_) => skipped += 1,
+            }
+        }
+        assert!(checked > 0, "no leaf of {value:?} was checked");
+        skipped
     }
 
     #[test]
-    fn spec_digest_covers_constraints_and_hints() {
-        let base = hash_spec(&spec());
-        let mut s = spec();
-        s.constraints.period = Some(vec![2.0, 2.500000001]);
-        assert_ne!(hash_spec(&s), base);
-        let mut s = spec();
-        s.constraints.energy = Some(10.0);
-        assert_ne!(hash_spec(&s), base);
-        let mut s = spec();
-        s.hints.exact_fallback = true;
-        assert_ne!(hash_spec(&s), base);
-        let mut s = spec();
-        s.hints.sweep_threads = Some(2);
-        assert_ne!(hash_spec(&s), base);
-        let mut s = spec();
-        s.comm = CommModel::NoOverlap;
-        assert_ne!(hash_spec(&s), base);
-        let mut s = spec();
-        s.objective = Objective::Latency;
-        assert_ne!(hash_spec(&s), base);
+    fn every_serialized_leaf_enters_the_digest() {
+        let (mut apps, pf) = section2_example();
+        apps.apps[0].name = "renamed".into();
+        let procs =
+            vec![Processor::new(vec![1.0, 2.0]).unwrap(), Processor::new(vec![3.0]).unwrap()];
+        let hetero = Platform::new(
+            procs.clone(),
+            Links::Heterogeneous {
+                inter: vec![vec![1.0, 2.0], vec![2.0, 1.0]],
+                input: vec![vec![1.0, 1.5], vec![2.0, 2.5]],
+                output: vec![vec![3.0, 3.5], vec![4.0, 4.5]],
+            },
+        )
+        .unwrap();
+        let per_app = Platform::new(procs, Links::PerApp(vec![1.0, 2.0])).unwrap();
+        let multistage = pf
+            .clone()
+            .with_topology(CommTopology::Multistage(MultistageNetwork::new(1.0, 0.25).unwrap()))
+            .unwrap();
+        let mut full_spec = spec();
+        full_spec.constraints = Thresholds {
+            period: Some(vec![2.0, 2.5]),
+            latency: Some(vec![9.0]),
+            energy: Some(40.0),
+        };
+        full_spec.hints = SolverHints {
+            exact_fallback: true,
+            heuristic_fallback: false,
+            sweep_threads: Some(2),
+            local_search_iterations: Some(100),
+            seed: Some(7),
+        };
+        let mapping = Mapping::new().with(Interval::new(0, 0, 2), 0, 1);
+        let plain = SolvedMapping::Plain(mapping.with(Interval::new(1, 0, 3), 2, 0));
+        let replicated = SolvedMapping::Replicated(ReplicatedMapping {
+            assignments: vec![ReplicatedAssignment {
+                interval: Interval::new(0, 1, 2),
+                procs: vec![0, 2],
+                modes: vec![1, 0],
+            }],
+        });
+        let outcomes = [
+            SolveOutcome::Solution(SolvedPoint { objective: 46.0, mapping: plain.clone() }),
+            SolveOutcome::Front(vec![
+                FrontEntry { achieved: 2.0, objective: 46.0, mapping: plain },
+                FrontEntry { achieved: 3.0, objective: 30.0, mapping: replicated },
+            ]),
+            SolveOutcome::Infeasible { reason: "period bound too tight".into() },
+            SolveOutcome::Unsupported { reason: "no solver".into() },
+        ];
+
+        // Only unit-variant names are skipped: `Dedicated` in a platform,
+        // objective/strategy/comm in a spec. Every other leaf is checked.
+        assert_eq!(assert_every_leaf_is_hashed(&apps), 0);
+        for p in [&pf, &hetero, &per_app] {
+            assert_eq!(assert_every_leaf_is_hashed(p), 1);
+        }
+        assert_eq!(assert_every_leaf_is_hashed(&multistage), 0);
+        assert_eq!(assert_every_leaf_is_hashed(&full_spec), 3);
+        for o in &outcomes {
+            assert_eq!(assert_every_leaf_is_hashed(o), 0);
+        }
     }
 
     #[test]
     fn structure_is_not_flattened_away() {
         // Moving a value across a boundary must change the digest even
         // though the flat scalar stream would look similar.
-        let mut h1 = StructuralHasher::new();
-        h1.write_opt_slice(Some(&[1.0, 2.0]));
-        h1.write_opt_slice(Some(&[]));
-        let mut h2 = StructuralHasher::new();
-        h2.write_opt_slice(Some(&[1.0]));
-        h2.write_opt_slice(Some(&[2.0]));
-        assert_ne!(h1.finish(), h2.finish());
+        let split = |period: Vec<f64>, latency: Vec<f64>| {
+            hash_spec(&ProblemSpec {
+                constraints: Thresholds {
+                    period: Some(period),
+                    latency: Some(latency),
+                    energy: None,
+                },
+                ..spec()
+            })
+        };
+        assert_ne!(split(vec![1.0, 2.0], vec![]), split(vec![1.0], vec![2.0]));
 
-        let mut h3 = StructuralHasher::new();
-        h3.write_opt_f64(None);
-        let mut h4 = StructuralHasher::new();
-        h4.write_opt_f64(Some(0.0));
-        assert_ne!(h3.finish(), h4.finish());
+        let energy = |energy: Option<f64>| {
+            hash_spec(&ProblemSpec {
+                constraints: Thresholds { energy, ..Thresholds::none() },
+                ..spec()
+            })
+        };
+        assert_ne!(energy(None), energy(Some(0.0)));
     }
 
     #[test]
     fn topology_variants_produce_distinct_digests() {
-        use crate::topology::MultistageNetwork;
         let (apps, pf) = section2_example();
         let dedicated = hash_instance(&apps, &pf);
 
@@ -559,42 +532,22 @@ mod tests {
         let multistage = hash_instance(&apps, &ms);
         assert_ne!(dedicated, multistage, "topology tag must enter the digest");
 
-        // Every network field perturbation changes the digest.
-        let mut faster = ms.clone();
-        faster.topology =
-            CommTopology::Multistage(MultistageNetwork::new(2.0, 0.0).unwrap());
-        assert_ne!(hash_instance(&apps, &faster), multistage);
-        let mut laggy = ms.clone();
-        laggy.topology =
-            CommTopology::Multistage(MultistageNetwork::new(1.0, 0.25).unwrap());
-        assert_ne!(hash_instance(&apps, &laggy), multistage);
-
         // Same -0.0 / NaN bit discipline as the Links fields: hop
         // latencies 0.0 and -0.0 are distinct digests, and NaN hashes
         // stably by bit pattern.
         let mut neg = ms.clone();
-        neg.topology = CommTopology::Multistage(MultistageNetwork {
-            link_bandwidth: 1.0,
-            hop_latency: -0.0,
-        });
+        neg.topology =
+            CommTopology::Multistage(MultistageNetwork { link_bandwidth: 1.0, hop_latency: -0.0 });
         assert_ne!(hash_instance(&apps, &neg), multistage);
         let nan = CommTopology::Multistage(MultistageNetwork {
             link_bandwidth: 1.0,
             hop_latency: f64::NAN,
         });
-        let mut h1 = StructuralHasher::new();
-        nan.stable_hash(&mut h1);
-        let mut h2 = StructuralHasher::new();
-        nan.stable_hash(&mut h2);
-        assert_eq!(h1.finish(), h2.finish(), "NaN hashes by bit pattern");
+        assert_eq!(digest(&nan), digest(&nan.clone()), "NaN hashes by bit pattern");
     }
 
     #[test]
     fn zero_and_negative_zero_differ() {
-        let mut h1 = StructuralHasher::new();
-        h1.write_f64(0.0);
-        let mut h2 = StructuralHasher::new();
-        h2.write_f64(-0.0);
-        assert_ne!(h1.finish(), h2.finish());
+        assert_ne!(digest(&0.0f64), digest(&-0.0f64));
     }
 }

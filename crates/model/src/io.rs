@@ -536,9 +536,15 @@ pub mod json_value {
 
     // -- parser: text -> Value -------------------------------------------
 
+    /// Deepest array/object nesting [`parse`] accepts. The parser
+    /// recurses once per level, so an unbounded line of `[` would
+    /// overflow the stack and abort the process; the deepest request type
+    /// nests fewer than 10 levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parse JSON text into a [`Value`].
     pub fn parse(s: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -551,6 +557,8 @@ pub mod json_value {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Open arrays and objects around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -572,6 +580,20 @@ pub mod json_value {
                 Err(Error(format!("expected `{}` at byte {}", c as char, self.pos)))
             }
         }
+        /// Step into an array or object (the byte at `pos`). Errors out
+        /// past [`MAX_DEPTH`]; an error ends the parse, so only the
+        /// successful paths step back out.
+        fn open(&mut self) -> Result<(), Error> {
+            if self.depth == MAX_DEPTH {
+                return Err(Error(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            self.pos += 1;
+            Ok(())
+        }
         fn literal(&mut self, lit: &str) -> bool {
             if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
@@ -588,11 +610,12 @@ pub mod json_value {
                 Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b'[') => {
-                    self.pos += 1;
+                    self.open()?;
                     let mut items = Vec::new();
                     self.skip_ws();
                     if self.peek() == Some(b']') {
                         self.pos += 1;
+                        self.depth -= 1;
                         return Ok(Value::Arr(items));
                     }
                     loop {
@@ -609,14 +632,16 @@ pub mod json_value {
                             _ => return Err(Error(format!("expected , or ] at byte {}", self.pos))),
                         }
                     }
+                    self.depth -= 1;
                     Ok(Value::Arr(items))
                 }
                 Some(b'{') => {
-                    self.pos += 1;
+                    self.open()?;
                     let mut map = BTreeMap::new();
                     self.skip_ws();
                     if self.peek() == Some(b'}') {
                         self.pos += 1;
+                        self.depth -= 1;
                         return Ok(Value::Obj(map));
                     }
                     loop {
@@ -638,6 +663,7 @@ pub mod json_value {
                             _ => return Err(Error(format!("expected , or }} at byte {}", self.pos))),
                         }
                     }
+                    self.depth -= 1;
                     Ok(Value::Obj(map))
                 }
                 Some(c) if c == b'-' || c.is_ascii_digit() => {
@@ -909,6 +935,15 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("[1] trailing").is_err());
+        // Nesting is bounded: a typed error past `MAX_DEPTH`, not a stack
+        // overflow.
+        use super::json_value::MAX_DEPTH;
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().0.contains("nesting deeper than"));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().0.contains("nesting deeper than"));
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

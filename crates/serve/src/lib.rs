@@ -566,6 +566,11 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
     // Deadline gate 1: dead on arrival (queueing ate the budget).
     let mut downgraded = false;
     let mut spec = None;
+    // The solve reuses the admission digest and, when the gate below
+    // planned the request, its plan: the engine neither re-hashes nor
+    // re-plans.
+    let mut key = entry.key;
+    let mut planned = None;
     if let Some(budget_ms) = req.deadline_ms {
         let waited = elapsed_ms();
         if waited > budget_ms {
@@ -582,20 +587,24 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
         // Deadline gate 2: the planned solver provably overruns what is
         // left of the budget. `plan` errors fall through — the solve
         // below reports the typed unsupported verdict.
-        if let Ok(p) = plan(&req.apps, &req.platform, &req.problem) {
+        let verdict = plan(&req.apps, &req.platform, &req.problem);
+        if let Ok(p) = &verdict {
             let units = inner.cfg.cost_units_per_ms.max(1);
             let est_ms = p.cost_estimate(&req.apps, &req.platform, &req.problem) / units;
             if waited + est_ms > budget_ms {
                 let mut shed = true;
                 if inner.cfg.deadline_downgrade && !req.problem.hints.heuristic_fallback {
                     // Downgrade: trade certified optimality for a plan
-                    // that fits the budget.
+                    // that fits the budget. Same instance, so only the
+                    // spec half of the key changes.
                     let mut cheap = req.problem.clone();
                     cheap.hints.heuristic_fallback = true;
                     cheap.hints.exact_fallback = false;
                     if let Ok(p2) = plan(&req.apps, &req.platform, &cheap) {
                         let est2 = p2.cost_estimate(&req.apps, &req.platform, &cheap) / units;
                         if waited + est2 <= budget_ms {
+                            key = (entry.key.0, hash_spec(&cheap));
+                            planned = Some(Ok(p2));
                             spec = Some(cheap);
                             downgraded = true;
                             shed = false;
@@ -615,10 +624,13 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
                 }
             }
         }
+        // The gate's own verdict, unless the downgrade replaced it.
+        planned.get_or_insert(verdict);
     }
 
     let spec = spec.as_ref().unwrap_or(&req.problem);
-    let result = inner.engine.solve_with(&req.apps, &req.platform, spec, scratch);
+    let result =
+        inner.engine.solve_planned(&req.apps, &req.platform, spec, key, planned.as_ref(), scratch);
 
     // The engine's panic backstop degrades solver panics to typed
     // `Unsupported` outcomes; recognize them and charge a strike so a
@@ -648,4 +660,57 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| panic.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "unknown panic".into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpo_model::generator::section2_example;
+    use parking_lot::Mutex;
+
+    /// Solves that reuse the admission digest and the deadline gate's
+    /// plan answer exactly what a fresh route of the spec that ran
+    /// answers, and are memoized under that spec's digest: a downgraded
+    /// solve never lands under the original spec's key.
+    #[test]
+    fn gate_plans_and_admission_keys_reach_the_engine_intact() {
+        let replies = Arc::new(Mutex::new(Vec::new()));
+        let sink_replies = Arc::clone(&replies);
+        let sink: ReplySink =
+            Arc::new(move |r: &ServeReply| sink_replies.lock().push(r.clone()));
+        let cfg = ServeConfig { threads: 1, deadline_downgrade: true, ..ServeConfig::default() };
+        let server = Server::start(cfg, sink, ServerHooks::default());
+        let inner = Arc::clone(&server.inner);
+
+        let (apps, _) = section2_example();
+        let pf = Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0, 8.0], 1.0).unwrap();
+        let mut exact = ProblemSpec::new(Objective::Period, Strategy::General, CommModel::Overlap);
+        exact.hints.exact_fallback = true;
+        let mut cheap = exact.clone();
+        cheap.hints.heuristic_fallback = true;
+        cheap.hints.exact_fallback = false;
+        let planned = ProblemSpec::new(Objective::Energy, Strategy::Interval, CommModel::Overlap)
+            .with_period_bounds(vec![2.0, 2.0]);
+        for spec in [&exact, &planned] {
+            let req = SolveRequest::new("gate", apps.clone(), pf.clone(), spec.clone());
+            server.submit(req.with_deadline_ms(60_000));
+        }
+        server.drain();
+
+        let replies = replies.lock();
+        let result = |seq: u64| match &replies.iter().find(|r| r.seq == seq).unwrap().outcome {
+            ServeOutcome::Done { result } => result.clone(),
+            other => panic!("expected a solve, got {other:?}"),
+        };
+        // The downgraded request ran `cheap`; the planned one ran as is.
+        for (seq, ran) in [(0, &cheap), (1, &planned)] {
+            assert_eq!(result(seq), cpo_core::route(&apps, &pf, ran));
+            let misses = inner.engine.cache_stats().misses;
+            assert_eq!(inner.engine.solve(&apps, &pf, ran), result(seq));
+            assert_eq!(inner.engine.cache_stats().misses, misses, "cached under its own key");
+        }
+        let misses = inner.engine.cache_stats().misses;
+        inner.engine.solve(&apps, &pf, &exact);
+        assert_eq!(inner.engine.cache_stats().misses, misses + 1, "nothing cached for `exact`");
+    }
 }

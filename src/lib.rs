@@ -8,7 +8,7 @@
 //! * [`model`] — applications, platforms, mappings, period/latency/energy
 //!   evaluation, generators, NP-hardness gadgets and the typed problem IR
 //!   (`ProblemSpec` / `SolveOutcome`);
-//! * [`matching`] — bipartite matching substrate (Hungarian, Hopcroft–Karp);
+//! * [`matching`] — bipartite matching substrate (Hungarian, Benes routing);
 //! * [`simulator`] — discrete-event and live multi-threaded execution of a
 //!   mapping;
 //! * [`solvers`] — every algorithm of the paper (mono-, bi- and tri-criteria,
