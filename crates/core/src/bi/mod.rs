@@ -29,26 +29,38 @@ pub fn interval_cost_tables(
     platform: &Platform,
     model: CommModel,
 ) -> Option<Vec<IntervalCostTable>> {
-    interval_cost_tables_inner(apps, platform, model, false)
+    cost_tables(apps, platform, model, IntervalCostTable::build)
 }
 
-/// [`interval_cost_tables`] with [`IntervalCostTable::build_lean`]: no
-/// `O(n²·modes)` cycle matrices. Only for the one-shot overlap-model energy
-/// path, whose run-decomposed core never reads them — lean tables must not
-/// escape to latency solvers or candidate enumeration.
-pub(crate) fn interval_cost_tables_lean(
+/// [`interval_cost_tables`] with each table built by [`energy_cost_table`]:
+/// the tables a one-shot Theorem 18/21 energy solve needs.
+pub(crate) fn energy_cost_tables(
     apps: &AppSet,
     platform: &Platform,
     model: CommModel,
 ) -> Option<Vec<IntervalCostTable>> {
-    interval_cost_tables_inner(apps, platform, model, true)
+    cost_tables(apps, platform, model, energy_cost_table)
 }
 
-fn interval_cost_tables_inner(
+/// The cost table a one-shot [`crate::dp::energy_dp`] needs. Under the
+/// overlap model the run-decomposed core never reads the `O(n²·modes)`
+/// cycle matrix, so the table is built lean
+/// ([`IntervalCostTable::build_lean`]); the no-overlap core needs the full
+/// table. Lean tables must not escape to latency solvers or candidate
+/// enumeration.
+pub(crate) fn energy_cost_table(ctx: &HomCtx<'_>) -> IntervalCostTable {
+    if matches!(ctx.model, CommModel::Overlap) {
+        IntervalCostTable::build_lean(ctx)
+    } else {
+        IntervalCostTable::build(ctx)
+    }
+}
+
+fn cost_tables(
     apps: &AppSet,
     platform: &Platform,
     model: CommModel,
-    lean: bool,
+    build: fn(&HomCtx<'_>) -> IntervalCostTable,
 ) -> Option<Vec<IntervalCostTable>> {
     let speeds = fully_hom_params(platform)?;
     if platform.p() < apps.a() {
@@ -62,11 +74,7 @@ fn interval_cost_tables_inner(
             let comm = platform.uniform_comm(a)?;
             let mut ctx = HomCtx::with_comm(app, &speeds, comm, model);
             ctx.e_stat = e_stat;
-            Some(if lean {
-                IntervalCostTable::build_lean(&ctx)
-            } else {
-                IntervalCostTable::build(&ctx)
-            })
+            Some(build(&ctx))
         })
         .collect()
 }

@@ -7,17 +7,17 @@
 //!   from-scratch Hungarian algorithm of `cpo-matching`.
 //! * **Theorem 18** (interval, fully homogeneous, single application):
 //!   dynamic program `E(i, j, k)` with per-interval cheapest feasible mode
-//!   ([`crate::dp::energy_under_period`]).
+//!   ([`crate::dp::energy_dp`]).
 //! * **Theorem 21** (interval, fully homogeneous, many applications):
 //!   convolution `E(a, k) = min_q (E_a^q + E(a−1, k−q))` over the
 //!   per-application tables.
 //!
-//! Both solvers come in two forms: the one-shot entry points
-//! ([`min_energy_one_to_one_matching`], [`min_energy_interval_fully_hom`])
-//! and `*_with_*` variants taking prebuilt cost tables
+//! Each solver has one core taking prebuilt cost tables
 //! ([`StageCostTable`], [`crate::dp::IntervalCostTable`]) plus reusable
 //! workspaces, which the Pareto sweep engine calls once per candidate
-//! period without re-deriving any per-instance constant.
+//! period without re-deriving any per-instance constant, and one one-shot
+//! entry point that builds the tables ([`min_energy_one_to_one_matching`],
+//! [`min_energy_interval_fully_hom`]).
 
 use crate::dp::{energy_dp, DpWorkspace, IntervalCostTable};
 use crate::mono::period_interval::mapping_from_partitions;
@@ -193,7 +193,7 @@ pub fn min_energy_one_to_one_matching(
 /// reusable Hungarian workspace and flat cost-matrix arena — the
 /// per-candidate form of a Pareto sweep (no allocations beyond the returned
 /// mapping).
-pub fn min_energy_one_to_one_with_table(
+pub(crate) fn min_energy_one_to_one_with_table(
     apps: &AppSet,
     platform: &Platform,
     table: &StageCostTable,
@@ -231,30 +231,12 @@ pub fn min_energy_interval_fully_hom(
     model: CommModel,
     period_bounds: &[f64],
 ) -> Option<Solution> {
-    // One-shot path: under the overlap model the run-decomposed energy
-    // core never reads the O(n²·modes) cycle matrices, so build lean
-    // tables (cheap fields only) instead of the full shared tables a
-    // sweep would want.
-    let tables = if matches!(model, CommModel::Overlap) {
-        crate::bi::interval_cost_tables_lean(apps, platform, model)?
-    } else {
-        crate::bi::interval_cost_tables(apps, platform, model)?
-    };
-    min_energy_interval_with_tables(apps, platform, &tables, period_bounds)
+    let tables = crate::bi::energy_cost_tables(apps, platform, model)?;
+    min_energy_interval_scratch(apps, platform, &tables, period_bounds, &mut DpWorkspace::new())
 }
 
 /// [`min_energy_interval_fully_hom`] on prebuilt per-application
-/// [`IntervalCostTable`]s.
-pub fn min_energy_interval_with_tables(
-    apps: &AppSet,
-    platform: &Platform,
-    tables: &[IntervalCostTable],
-    period_bounds: &[f64],
-) -> Option<Solution> {
-    min_energy_interval_scratch(apps, platform, tables, period_bounds, &mut DpWorkspace::new())
-}
-
-/// [`min_energy_interval_with_tables`] on a reusable [`DpWorkspace`] — the
+/// [`IntervalCostTable`]s and a reusable [`DpWorkspace`] — the
 /// per-candidate form of a Pareto sweep: the Theorem 18 DPs, the Theorem 21
 /// convolution and the single-interval cost rows all live in flat arenas
 /// reused across candidates (zero allocation besides the returned mapping).

@@ -2,16 +2,17 @@
 //! platforms, interval mappings.
 //!
 //! The single-application engine is the `(L, T)(i, q)` dynamic program of
-//! Theorem 15 ([`crate::dp::latency_under_period`]) and its binary-search
-//! dual ([`crate::dp::min_period_under_latency`]). Theorem 16 lifts both to
+//! Theorem 15 ([`crate::dp::latency_dp`]) and its binary-search dual
+//! ([`crate::dp::min_period_under_latency_probe`]). Theorem 16 lifts both to
 //! several concurrent applications with Algorithm 2, since the optimal
 //! latency (resp. period) of one application is non-increasing in its
-//! processor count.
+//! processor count. Both cores take the processor count to allocate, so
+//! Theorem 24 ([`crate::tri::unimodal`]) runs them with its energy-budget
+//! cap in place of `p`.
 
 use crate::alloc::allocate_processors;
 use crate::dp::{
-    latency_dp, min_period_under_latency_probe, min_period_under_latency_scratch, DpScratch,
-    DpWorkspace, IntervalCostTable,
+    latency_dp, min_period_under_latency_probe, DpScratch, DpWorkspace, IntervalCostTable,
 };
 use crate::mono::period_interval::mapping_from_partitions;
 use crate::solution::Solution;
@@ -28,37 +29,35 @@ pub fn min_latency_under_period_fully_hom(
     period_bounds: &[f64],
 ) -> Option<Solution> {
     let tables = crate::bi::interval_cost_tables(apps, platform, model)?;
-    min_latency_under_period_with_tables(apps, platform, &tables, period_bounds)
+    min_latency_under_period_scratch(
+        apps,
+        platform,
+        &tables,
+        period_bounds,
+        platform.p(),
+        &mut DpWorkspace::new(),
+    )
 }
 
-/// [`min_latency_under_period_fully_hom`] on prebuilt per-application
-/// [`IntervalCostTable`]s.
-pub fn min_latency_under_period_with_tables(
-    apps: &AppSet,
-    platform: &Platform,
-    tables: &[IntervalCostTable],
-    period_bounds: &[f64],
-) -> Option<Solution> {
-    min_latency_under_period_scratch(apps, platform, tables, period_bounds, &mut DpWorkspace::new())
-}
-
-/// [`min_latency_under_period_with_tables`] on a reusable [`DpWorkspace`] —
-/// the per-candidate form of a Pareto sweep (per-application Theorem 15
-/// tables live in flat arenas reused across candidates).
+/// [`min_latency_under_period_fully_hom`] over the first `procs` processors
+/// of `platform`, on prebuilt per-application [`IntervalCostTable`]s and a
+/// reusable [`DpWorkspace`] — the per-candidate form of a Pareto sweep
+/// (per-application Theorem 15 tables live in flat arenas reused across
+/// candidates).
 pub fn min_latency_under_period_scratch(
     apps: &AppSet,
     platform: &Platform,
     tables: &[IntervalCostTable],
     period_bounds: &[f64],
+    procs: usize,
     workspace: &mut DpWorkspace,
 ) -> Option<Solution> {
     assert_eq!(period_bounds.len(), apps.a(), "one period bound per application");
-    let p = platform.p();
     let a_count = apps.a();
-    if p < a_count {
+    if procs < a_count {
         return None;
     }
-    let qmax = p - a_count + 1;
+    let qmax = procs - a_count + 1;
     // Per-application latency tables under their own bound, in persistent
     // scratch arenas.
     for (a, (table, &tb)) in tables.iter().zip(period_bounds).enumerate() {
@@ -67,7 +66,7 @@ pub fn min_latency_under_period_scratch(
     let per_app = &workspace.per_app;
     let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
     let alloc =
-        allocate_processors(a_count, p, &weights, |a, q| per_app[a].best_row()[q - 1])?;
+        allocate_processors(a_count, procs, &weights, |a, q| per_app[a].best_row()[q - 1])?;
     if !alloc.objective.is_finite() {
         return None;
     }
@@ -92,41 +91,44 @@ pub fn min_period_under_latency_fully_hom(
     model: CommModel,
     latency_bounds: &[f64],
 ) -> Option<Solution> {
+    min_period_under_latency_on(apps, platform, model, latency_bounds, platform.p())
+}
+
+/// [`min_period_under_latency_fully_hom`] over the first `procs`
+/// processors of `platform`.
+pub(crate) fn min_period_under_latency_on(
+    apps: &AppSet,
+    platform: &Platform,
+    model: CommModel,
+    latency_bounds: &[f64],
+    procs: usize,
+) -> Option<Solution> {
     assert_eq!(latency_bounds.len(), apps.a(), "one latency bound per application");
     let tables = crate::bi::interval_cost_tables(apps, platform, model)?;
-    let p = platform.p();
     let a_count = apps.a();
     let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
     // Candidate-period sets built once per application, reused by every
-    // (latency bound, processor count) probe of the allocation. The probes
-    // run the lean best-only recurrence on one shared scratch; only the
-    // final per-application solves materialize parents.
+    // (latency bound, processor count) probe of the allocation; all probes
+    // share one scratch.
     let candidates: Vec<Vec<f64>> = tables.iter().map(|t| t.candidates()).collect();
     let mut scratch = DpScratch::new();
-    let alloc = allocate_processors(a_count, p, &weights, |a, q| {
-        min_period_under_latency_probe(
-            &tables[a],
-            &candidates[a],
-            latency_bounds[a],
-            q,
-            &mut scratch,
-        )
-        .unwrap_or(f64::INFINITY)
+    let probe = |a: usize, q: usize, scratch: &mut DpScratch| {
+        min_period_under_latency_probe(&tables[a], &candidates[a], latency_bounds[a], q, scratch)
+    };
+    let alloc = allocate_processors(a_count, procs, &weights, |a, q| {
+        probe(a, q, &mut scratch).unwrap_or(f64::INFINITY)
     })?;
     if !alloc.objective.is_finite() {
         return None;
     }
+    // Re-solve each application at its allocated count and found period to
+    // read its partition.
     let partitions: Vec<_> = (0..a_count)
         .map(|a| {
-            min_period_under_latency_scratch(
-                &tables[a],
-                &candidates[a],
-                latency_bounds[a],
-                alloc.procs[a],
-                &mut scratch,
-            )
-            .expect("finite objective")
-            .1
+            let q = alloc.procs[a];
+            let t = probe(a, q, &mut scratch).expect("finite objective");
+            latency_dp(&tables[a], t, q, &mut scratch);
+            scratch.latency_partition(q, tables[a].modes() - 1).expect("finite objective")
         })
         .collect();
     let mapping = mapping_from_partitions(&partitions);

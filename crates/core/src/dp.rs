@@ -3,18 +3,35 @@
 //!
 //! Everything the paper's fully-homogeneous algorithms need boils down to
 //! partitioning one linear chain into `k` intervals over identical
-//! processors and optimizing period, latency or energy:
+//! processors and optimizing period, latency or energy. There is **one
+//! core per recurrence**, each running on a prebuilt [`IntervalCostTable`]
+//! into a reusable [`DpScratch`]:
 //!
-//! * [`period_table`] — minimum period with at most `q` intervals
-//!   (the single-application algorithm of [3, 4] that the paper's
-//!   Algorithm 2 calls as a subroutine, Theorem 3);
-//! * [`latency_under_period`] — minimum latency subject to a period bound
-//!   (the `(L, T)(i, q)` recurrence of Theorem 15);
-//! * [`min_period_under_latency`] — the dual, by binary search over the
-//!   finite candidate-period set (Theorem 15);
-//! * [`energy_under_period`] — minimum energy subject to a period bound,
-//!   with the per-interval cheapest-feasible-mode rule (the `E(i, j, k)`
-//!   recurrence of Theorem 18).
+//! * [`period_dp`] — minimum period with at most `q` intervals (the
+//!   single-application algorithm of [3, 4] that the paper's Algorithm 2
+//!   calls as a subroutine, Theorem 3);
+//! * [`latency_dp`] — minimum latency subject to a period bound (the
+//!   `(L, T)(i, q)` recurrence of Theorem 15);
+//! * [`energy_dp`] — minimum energy subject to a period bound, with the
+//!   per-interval cheapest-feasible-mode rule (the `E(i, j, k)` recurrence
+//!   of Theorem 18);
+//!
+//! plus one dual search, [`min_period_under_latency_probe`]: the smallest
+//! candidate period whose [`latency_dp`] meets a latency bound (Theorem 15).
+//!
+//! # Results live in the scratch
+//!
+//! A core leaves its solution in the scratch; callers read it there,
+//! nothing is copied out. [`DpScratch::best_row`] holds the period/latency
+//! values per processor count, [`DpScratch::energy_exact_k`] and
+//! [`DpScratch::energy_best`] the energy values, and
+//! [`DpScratch::period_partition`], [`DpScratch::latency_partition`],
+//! [`DpScratch::energy_partition_exact`] and
+//! [`DpScratch::energy_partition_best`] walk the one parent table back to
+//! a [`Partition`]. The convenience wrappers [`period_table`],
+//! [`latency_under_period`] and [`energy_under_period`] build the table
+//! from a [`HomCtx`] and return the solved scratch;
+//! [`min_period_under_latency`] returns the dual's `(period, partition)`.
 //!
 //! # The fast cores
 //!
@@ -361,15 +378,6 @@ impl IntervalCostTable {
         self.input_edge
     }
 
-    /// Cheapest feasible mode of `[lo, hi]` under `t_bound`, by
-    /// partition-point binary search (cycle-times descend over modes).
-    /// Identical to [`HomCtx::cheapest_feasible_mode`].
-    pub fn cheapest_feasible_mode(&self, lo: usize, hi: usize, t_bound: f64) -> Option<(usize, f64)> {
-        let row = self.cycle_row(lo, hi);
-        let m = row.partition_point(|&c| !num::le(c, t_bound));
-        (m < self.modes).then(|| (m, self.mode_energy[m]))
-    }
-
     /// All candidate period values (unweighted), sorted and deduplicated —
     /// the same set as [`HomCtx::period_candidates`].
     pub fn candidates(&self) -> Vec<f64> {
@@ -432,6 +440,10 @@ const NONE_U32: u32 = u32::MAX;
 /// its [`crate::sweep::CandidateSolver::State`], eliminating every
 /// per-candidate allocation.
 ///
+/// The scratch also owns the result of its last solve: read it through
+/// [`best_row`](Self::best_row) and the `*_partition*` and `energy_*`
+/// readers, which are valid until the next solve into the same scratch.
+///
 /// The mode frontier persists across solves on purpose: the cheapest
 /// feasible mode of a cell is monotone in the threshold, so consecutive
 /// sweep candidates move each frontier by a step or two at most. The cached
@@ -442,7 +454,6 @@ const NONE_U32: u32 = u32::MAX;
 pub struct DpScratch {
     n: usize,
     kcap: usize,
-    qmax: usize,
     /// `exact[k * (n+1) + i]` (row-major over `k`).
     exact: Vec<f64>,
     /// Split point realizing `exact` (`NONE_U32` = none).
@@ -465,9 +476,6 @@ pub struct DpScratch {
     exact_k: Vec<f64>,
     /// Overall best of the last energy solve.
     best_val: f64,
-    /// Rolling rows for the best-only probes.
-    roll_a: Vec<f64>,
-    roll_b: Vec<f64>,
     /// Per-mode feasibility boundaries `b[m·(n+1) + i]` = first split `j`
     /// whose last interval `[j, i-1]` fits mode `m`'s compute term.
     mode_bound: Vec<u32>,
@@ -494,14 +502,13 @@ impl DpScratch {
         if self.n != n {
             self.n = n;
             // Invalidate the per-cell arrays; they are (re)sized lazily by
-            // the cores that actually use them (`ensure_cells`), so the
+            // the cores that actually use them (`refresh_cost1`), so the
             // run-decomposed path never pays for the O(n²) arenas.
             self.frontier.clear();
             self.cost1.clear();
             self.mode1.clear();
         }
         self.kcap = kcap;
-        self.qmax = qmax;
         let cells = (kcap + 1) * (n + 1);
         self.exact.clear();
         self.exact.resize(cells, f64::INFINITY);
@@ -558,8 +565,8 @@ impl DpScratch {
 
     /// Refresh `cost1`/`mode1` for every window cell by walking the cached
     /// mode frontier to the exact partition point for `t_bound` (identical
-    /// to [`IntervalCostTable::cheapest_feasible_mode`]). Cells outside the
-    /// window are left stale — the DP never reads them.
+    /// to [`HomCtx::cheapest_feasible_mode`] on the table's context). Cells
+    /// outside the window are left stale — the DP never reads them.
     fn refresh_cost1(&mut self, table: &IntervalCostTable, t_bound: f64) {
         let n = self.n;
         let modes = table.modes();
@@ -641,33 +648,30 @@ impl DpScratch {
     }
 
     /// Reconstruct a partition achieving `best_row()[q-1]` of the last
-    /// *period* solve (all intervals at `top_mode`).
+    /// *period* solve (all intervals at `top_mode`). A structured error
+    /// instead of a panic when non-finite inputs (NaN stage data, NaN
+    /// speeds) left no row attaining the target.
     pub fn period_partition(&self, q: usize, top_mode: usize) -> Result<Partition, ModelError> {
-        let stride = self.n + 1;
-        let target = self.best[q - 1];
-        if !target.is_finite() {
-            return Err(ModelError::NonFiniteData { what: "period DP best value" });
-        }
-        let k = (1..=q.min(self.kcap))
-            .find(|&k| num::le(self.exact[k * stride + self.n], target))
-            .ok_or(ModelError::NonFiniteData { what: "period DP table" })?;
-        let mut part = self
-            .walk_parents(k, false)
-            .ok_or(ModelError::NonFiniteData { what: "period DP parents" })?;
-        part.modes = vec![top_mode; part.intervals.len()];
-        Ok(part)
+        self.best_partition(q, top_mode)
+            .ok_or(ModelError::NonFiniteData { what: "period DP" })
     }
 
     /// Reconstruct a partition achieving `best_row()[q-1]` of the last
     /// *latency* solve; `None` when infeasible.
     pub fn latency_partition(&self, q: usize, top_mode: usize) -> Option<Partition> {
+        self.best_partition(q, top_mode)
+    }
+
+    /// Smallest `k ≤ q` whose exact row attains `best_row()[q-1]`, walked
+    /// back with every interval at `top_mode`.
+    fn best_partition(&self, q: usize, top_mode: usize) -> Option<Partition> {
         let stride = self.n + 1;
         let target = self.best[q - 1];
         if !target.is_finite() {
             return None;
         }
-        let k = (1..=q.min(self.kcap))
-            .find(|&k| num::le(self.exact[k * stride + self.n], target))?;
+        let k =
+            (1..=q.min(self.kcap)).find(|&k| num::le(self.exact[k * stride + self.n], target))?;
         let mut part = self.walk_parents(k, false)?;
         part.modes = vec![top_mode; part.intervals.len()];
         Some(part)
@@ -690,43 +694,6 @@ impl DpScratch {
                 self.exact_k[a - 1].partial_cmp(&self.exact_k[b - 1]).expect("finite")
             })?;
         self.energy_partition_exact(k)
-    }
-
-    fn export_period(&self) -> PeriodTable {
-        let stride = self.n + 1;
-        let used = (self.kcap + 1) * stride;
-        PeriodTable {
-            best: self.best.clone(),
-            n: self.n,
-            stride,
-            exact: self.exact[..used].to_vec(),
-            parent: self.parent[..used].to_vec(),
-        }
-    }
-
-    fn export_latency(&self) -> LatencyTable {
-        let stride = self.n + 1;
-        let used = (self.kcap + 1) * stride;
-        LatencyTable {
-            best: self.best.clone(),
-            n: self.n,
-            stride,
-            exact: self.exact[..used].to_vec(),
-            parent: self.parent[..used].to_vec(),
-        }
-    }
-
-    fn export_energy(&self) -> EnergyTable {
-        let stride = self.n + 1;
-        let used = (self.kcap + 1) * stride;
-        EnergyTable {
-            exact_k: self.exact_k.clone(),
-            best: self.best_val,
-            n: self.n,
-            stride,
-            parent: self.parent[..used].to_vec(),
-            mode_of: self.mode_of[..used].to_vec(),
-        }
     }
 }
 
@@ -758,21 +725,6 @@ impl DpWorkspace {
 // ---------------------------------------------------------------------------
 // Period minimization (Theorem 3 subroutine)
 // ---------------------------------------------------------------------------
-
-/// Result of the period DP: for every `q`, the minimum period achievable
-/// with at most `q` intervals at the highest speed.
-#[derive(Debug, Clone)]
-pub struct PeriodTable {
-    /// `best[q-1]` = minimum period with at most `q` intervals.
-    pub best: Vec<f64>,
-    n: usize,
-    stride: usize,
-    /// `exact[k·stride + i]` = min period, exactly `k` intervals over first
-    /// `i` stages.
-    exact: Vec<f64>,
-    /// Split point `j` (stages `j..i` form the last interval).
-    parent: Vec<u32>,
-}
 
 /// Run the period DP into `scratch`: `scratch.best_row()[q-1]` = minimum
 /// period of the table's application with at most `q` intervals at the top
@@ -824,127 +776,18 @@ pub fn period_dp(table: &IntervalCostTable, qmax: usize, scratch: &mut DpScratch
     }
 }
 
-/// Minimum period of `app` with at most `q ∈ {1..qmax}` intervals, running
-/// every interval at the top speed (performance-only setting).
-pub fn period_table(ctx: &HomCtx<'_>, qmax: usize) -> PeriodTable {
-    period_table_with(&IntervalCostTable::build(ctx), qmax, &mut DpScratch::new())
-}
-
-/// [`period_table`] on a prebuilt [`IntervalCostTable`] and reusable
-/// [`DpScratch`].
-pub fn period_table_with(
-    table: &IntervalCostTable,
-    qmax: usize,
-    scratch: &mut DpScratch,
-) -> PeriodTable {
-    period_dp(table, qmax, scratch);
-    scratch.export_period()
-}
-
-/// Lean [`period_table`] variant computing only the `best` row (no
-/// `exact`/`parent` matrices, two rolling rows): the form feasibility
-/// probes should use when no partition needs reconstructing. Values are
-/// bitwise-identical to `period_table(ctx, qmax).best`.
-pub fn period_best_only(ctx: &HomCtx<'_>, qmax: usize) -> Vec<f64> {
-    period_best_only_with(&IntervalCostTable::build(ctx), qmax, &mut DpScratch::new())
-}
-
-/// [`period_best_only`] on a prebuilt table and reusable scratch.
-pub fn period_best_only_with(
-    table: &IntervalCostTable,
-    qmax: usize,
-    scratch: &mut DpScratch,
-) -> Vec<f64> {
-    let n = table.n();
-    let kcap = qmax.min(n).max(1);
-    scratch.n = n;
-    let (prev, cur) = (&mut scratch.roll_a, &mut scratch.roll_b);
-    prev.clear();
-    prev.resize(n + 1, f64::INFINITY);
-    cur.clear();
-    cur.resize(n + 1, f64::INFINITY);
-    for i in 1..=n {
-        prev[i] = table.top_cycle(0, i - 1);
-    }
-    let mut per_k = Vec::with_capacity(kcap);
-    per_k.push(prev[n]);
-    for k in 2..=kcap {
-        for i in 0..=n {
-            cur[i] = f64::INFINITY;
-        }
-        for i in k..=n {
-            let hi = i - 1;
-            let mut best = f64::INFINITY;
-            for j in ((k - 1)..i).rev() {
-                if table.top_compute(j, hi) > best {
-                    break;
-                }
-                let cand = num::fmax(prev[j], table.top_cycle(j, hi));
-                if cand <= best {
-                    best = cand;
-                }
-            }
-            cur[i] = best;
-        }
-        per_k.push(cur[n]);
-        std::mem::swap(prev, cur);
-    }
-    let mut out = Vec::with_capacity(qmax);
-    let mut acc = f64::INFINITY;
-    for q in 1..=qmax {
-        acc = num::fmin(acc, per_k[q.min(kcap) - 1]);
-        out.push(acc);
-    }
-    out
-}
-
-impl PeriodTable {
-    /// Reconstruct a partition achieving `best[q-1]` (at most `q` intervals,
-    /// all at the top mode). Returns a structured error instead of
-    /// panicking when the table was contaminated by non-finite inputs (NaN
-    /// stage data, NaN speeds) and no exact row attains the target.
-    pub fn partition(&self, q: usize, top_mode: usize) -> Result<Partition, ModelError> {
-        let kcap = self.exact.len() / self.stride - 1;
-        let target = self.best[q - 1];
-        if !target.is_finite() {
-            return Err(ModelError::NonFiniteData { what: "period table best value" });
-        }
-        let k = (1..=q.min(kcap))
-            .find(|&k| num::le(self.exact[k * self.stride + self.n], target))
-            .ok_or(ModelError::NonFiniteData { what: "period table" })?;
-        let mut intervals = Vec::with_capacity(k);
-        let mut i = self.n;
-        let mut kk = k;
-        while kk > 0 {
-            let j = self.parent[kk * self.stride + i];
-            if j == NONE_U32 || j as usize >= i {
-                return Err(ModelError::NonFiniteData { what: "period table parents" });
-            }
-            intervals.push((j as usize, i - 1));
-            i = j as usize;
-            kk -= 1;
-        }
-        intervals.reverse();
-        let modes = vec![top_mode; intervals.len()];
-        Ok(Partition { intervals, modes })
-    }
+/// Minimum period of `ctx`'s application with at most `q ∈ {1..qmax}`
+/// intervals, running every interval at the top speed (performance-only
+/// setting): [`period_dp`] on a fresh table, returning the solved scratch.
+pub fn period_table(ctx: &HomCtx<'_>, qmax: usize) -> DpScratch {
+    let mut scratch = DpScratch::new();
+    period_dp(&IntervalCostTable::build(ctx), qmax, &mut scratch);
+    scratch
 }
 
 // ---------------------------------------------------------------------------
 // Latency under a period bound (Theorem 15)
 // ---------------------------------------------------------------------------
-
-/// Result of the latency-under-period DP.
-#[derive(Debug, Clone)]
-pub struct LatencyTable {
-    /// `best[q-1]` = minimum latency with at most `q` intervals whose
-    /// cycle-times all respect the period bound; `+∞` when infeasible.
-    pub best: Vec<f64>,
-    n: usize,
-    stride: usize,
-    exact: Vec<f64>,
-    parent: Vec<u32>,
-}
 
 /// Run the latency-under-period DP into `scratch` (Theorem 15 recurrence,
 /// top speed, splits clipped to the exact work window).
@@ -991,145 +834,38 @@ pub fn latency_dp(table: &IntervalCostTable, t_bound: f64, qmax: usize, scratch:
     }
 }
 
-/// Minimum latency of `app` with at most `q ∈ {1..qmax}` intervals subject
-/// to every interval's cycle-time ≤ `t_bound` (the paper's `(L, T)(i, q)`
-/// recurrence, Theorem 15). Runs at the top speed.
-pub fn latency_under_period(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> LatencyTable {
-    latency_under_period_scratch(
-        &IntervalCostTable::build(ctx),
-        t_bound,
-        qmax,
-        &mut DpScratch::new(),
-    )
-}
-
-/// [`latency_under_period`] on a prebuilt [`IntervalCostTable`]: identical
-/// results, but all `O(n²)` cycle-times and latency terms are lookups.
-pub fn latency_under_period_with(
-    table: &IntervalCostTable,
-    t_bound: f64,
-    qmax: usize,
-) -> LatencyTable {
-    latency_under_period_scratch(table, t_bound, qmax, &mut DpScratch::new())
-}
-
-/// [`latency_under_period_with`] on a reusable [`DpScratch`] — the
-/// zero-allocation form of a Pareto sweep's per-candidate solves.
-pub fn latency_under_period_scratch(
-    table: &IntervalCostTable,
-    t_bound: f64,
-    qmax: usize,
-    scratch: &mut DpScratch,
-) -> LatencyTable {
-    latency_dp(table, t_bound, qmax, scratch);
-    scratch.export_latency()
-}
-
-/// Best-only feasibility probe: `latency_under_period_with(table, t_bound,
-/// qmax).best[qmax-1]` without materializing the `exact`/`parent` matrices
-/// (two rolling rows). Bitwise-identical values; the form every binary
-/// search probe uses.
-pub fn latency_best_under_period_with(
-    table: &IntervalCostTable,
-    t_bound: f64,
-    qmax: usize,
-    scratch: &mut DpScratch,
-) -> f64 {
-    let n = table.n();
-    let kcap = qmax.min(n).max(1);
-    scratch.n = n;
-    scratch.jw.clear();
-    scratch.jw.resize(n + 1, 0);
-    scratch.fill_window(table, t_bound);
-    let (prev, cur) = (&mut scratch.roll_a, &mut scratch.roll_b);
-    prev.clear();
-    prev.resize(n + 1, f64::INFINITY);
-    cur.clear();
-    cur.resize(n + 1, f64::INFINITY);
-    for i in 1..=n {
-        if scratch.jw[i] == 0 && num::le(table.top_cycle(0, i - 1), t_bound) {
-            prev[i] = table.input_edge() + table.latency_term_top(0, i - 1);
-        }
-    }
-    let mut acc = prev[n];
-    for k in 2..=kcap {
-        for i in 0..=n {
-            cur[i] = f64::INFINITY;
-        }
-        for i in k..=n {
-            let hi = i - 1;
-            let jlo = (scratch.jw[i] as usize).max(k - 1);
-            let mut best = f64::INFINITY;
-            for j in jlo..i {
-                if prev[j].is_finite() && num::le(table.top_cycle(j, hi), t_bound) {
-                    let cand = prev[j] + table.latency_term_top(j, hi);
-                    if cand < best {
-                        best = cand;
-                    }
-                }
-            }
-            cur[i] = best;
-        }
-        acc = num::fmin(acc, cur[n]);
-        std::mem::swap(prev, cur);
-    }
-    acc
-}
-
-impl LatencyTable {
-    /// Reconstruct a partition achieving `best[q-1]`; `None` if infeasible.
-    pub fn partition(&self, q: usize, top_mode: usize) -> Option<Partition> {
-        let target = self.best[q - 1];
-        if !target.is_finite() {
-            return None;
-        }
-        let kcap = self.exact.len() / self.stride - 1;
-        let k = (1..=q.min(kcap))
-            .find(|&k| num::le(self.exact[k * self.stride + self.n], target))
-            .expect("latency table is consistent");
-        let mut intervals = Vec::with_capacity(k);
-        let mut i = self.n;
-        let mut kk = k;
-        while kk > 0 {
-            let j = self.parent[kk * self.stride + i] as usize;
-            intervals.push((j, i - 1));
-            i = j;
-            kk -= 1;
-        }
-        intervals.reverse();
-        let modes = vec![top_mode; intervals.len()];
-        Some(Partition { intervals, modes })
-    }
+/// Minimum latency of `ctx`'s application with at most `q ∈ {1..qmax}`
+/// intervals subject to every interval's cycle-time ≤ `t_bound` (the
+/// paper's `(L, T)(i, q)` recurrence, Theorem 15), at the top speed:
+/// [`latency_dp`] on a fresh table, returning the solved scratch.
+pub fn latency_under_period(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> DpScratch {
+    let mut scratch = DpScratch::new();
+    latency_dp(&IntervalCostTable::build(ctx), t_bound, qmax, &mut scratch);
+    scratch
 }
 
 /// Minimum period achievable with at most `q` intervals subject to a
-/// latency bound, via binary search over the candidate-period set plus the
-/// Theorem 15 DP as feasibility probe. Returns `(period, partition)`.
+/// latency bound (the dual of Theorem 15): [`min_period_under_latency_probe`]
+/// finds the period, then [`latency_dp`] at that period yields the
+/// partition. Returns `(period, partition)`.
 pub fn min_period_under_latency(
     ctx: &HomCtx<'_>,
     l_bound: f64,
     q: usize,
 ) -> Option<(f64, Partition)> {
     let table = IntervalCostTable::build(ctx);
-    let candidates = table.candidates();
-    min_period_under_latency_with(&table, &candidates, l_bound, q)
+    let mut scratch = DpScratch::new();
+    let t = min_period_under_latency_probe(&table, &table.candidates(), l_bound, q, &mut scratch)?;
+    latency_dp(&table, t, q, &mut scratch);
+    Some((t, scratch.latency_partition(q, table.modes() - 1)?))
 }
 
-/// [`min_period_under_latency`] on a prebuilt cost table and candidate set,
-/// so a multi-application allocation (or a Pareto sweep) probing many
-/// `(l_bound, q)` pairs builds both exactly once per application.
-pub fn min_period_under_latency_with(
-    table: &IntervalCostTable,
-    candidates: &[f64],
-    l_bound: f64,
-    q: usize,
-) -> Option<(f64, Partition)> {
-    min_period_under_latency_scratch(table, candidates, l_bound, q, &mut DpScratch::new())
-}
-
-/// Value-only form of [`min_period_under_latency_scratch`]: the minimum
-/// feasible period (no partition, no parent matrices at all) — the form
-/// Algorithm 2's allocation probes use.
+/// The smallest of the sorted `candidates` periods under which
+/// [`latency_dp`] reaches latency ≤ `l_bound` with at most `q` intervals.
+/// Feasibility is monotone in the period, so the candidates are
+/// binary-searched, one [`latency_dp`] per probe; `None` when even the
+/// largest candidate fails. The scratch is left holding the last probe,
+/// which need not be the answer.
 pub fn min_period_under_latency_probe(
     table: &IntervalCostTable,
     candidates: &[f64],
@@ -1141,7 +877,8 @@ pub fn min_period_under_latency_probe(
     let mut hi = candidates.len();
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let l = latency_best_under_period_with(table, candidates[mid], q, scratch);
+        latency_dp(table, candidates[mid], q, scratch);
+        let l = scratch.best_row()[q - 1];
         if l.is_finite() && num::le(l, l_bound) {
             hi = mid;
         } else {
@@ -1151,44 +888,9 @@ pub fn min_period_under_latency_probe(
     (lo < candidates.len()).then(|| candidates[lo])
 }
 
-/// [`min_period_under_latency_with`] on a reusable [`DpScratch`]: the
-/// binary-search probes run the lean best-only recurrence
-/// ([`latency_best_under_period_with`]) and only the final threshold pays
-/// for a full table with parents.
-pub fn min_period_under_latency_scratch(
-    table: &IntervalCostTable,
-    candidates: &[f64],
-    l_bound: f64,
-    q: usize,
-    scratch: &mut DpScratch,
-) -> Option<(f64, Partition)> {
-    // Feasible(T) := best latency under period T ≤ l_bound; monotone in T,
-    // so binary-search the first feasible candidate.
-    let t = min_period_under_latency_probe(table, candidates, l_bound, q, scratch)?;
-    latency_dp(table, t, q, scratch);
-    let top = table.modes() - 1;
-    let partition = scratch.latency_partition(q, top)?;
-    Some((t, partition))
-}
-
 // ---------------------------------------------------------------------------
 // Energy under a period bound (Theorem 18)
 // ---------------------------------------------------------------------------
-
-/// Result of the energy-under-period DP.
-#[derive(Debug, Clone)]
-pub struct EnergyTable {
-    /// `exact_k[k-1]` = minimum energy with **exactly** `k` intervals
-    /// (`+∞` when infeasible). Needed by the Theorem 21 multi-application
-    /// convolution.
-    pub exact_k: Vec<f64>,
-    /// Minimum over all `k ≤ qmax`.
-    pub best: f64,
-    n: usize,
-    stride: usize,
-    parent: Vec<u32>,
-    mode_of: Vec<u32>,
-}
 
 /// Run the energy-under-period DP into `scratch` (Theorem 18 recurrence;
 /// each interval independently selects its cheapest feasible mode).
@@ -1387,73 +1089,16 @@ fn energy_dp_window(table: &IntervalCostTable, t_bound: f64, qmax: usize, scratc
     scratch.best_val = scratch.exact_k.iter().copied().fold(f64::INFINITY, num::fmin);
 }
 
-/// Minimum energy of `app` subject to every interval cycle-time ≤ `t_bound`
-/// (Theorem 18 DP). Each interval independently selects its cheapest
-/// feasible mode.
-pub fn energy_under_period(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> EnergyTable {
-    // The run-decomposed overlap core never reads the O(n²·modes) cycle
-    // matrix: skip building it for this one-shot.
-    let table = if matches!(ctx.model, CommModel::Overlap) {
-        IntervalCostTable::build_lean(ctx)
-    } else {
-        IntervalCostTable::build(ctx)
-    };
-    energy_under_period_scratch(&table, t_bound, qmax, &mut DpScratch::new())
-}
-
-/// [`energy_under_period`] on a prebuilt [`IntervalCostTable`]: identical
-/// results, with all cycle-times looked up instead of recomputed.
-pub fn energy_under_period_with(
-    table: &IntervalCostTable,
-    t_bound: f64,
-    qmax: usize,
-) -> EnergyTable {
-    energy_under_period_scratch(table, t_bound, qmax, &mut DpScratch::new())
-}
-
-/// [`energy_under_period_with`] on a reusable [`DpScratch`] — the
-/// zero-allocation form of a Pareto sweep's per-candidate solves.
-pub fn energy_under_period_scratch(
-    table: &IntervalCostTable,
-    t_bound: f64,
-    qmax: usize,
-    scratch: &mut DpScratch,
-) -> EnergyTable {
-    energy_dp(table, t_bound, qmax, scratch);
-    scratch.export_energy()
-}
-
-impl EnergyTable {
-    /// Reconstruct the partition achieving `exact_k[k-1]`; `None` if `+∞`.
-    pub fn partition_exact(&self, k: usize) -> Option<Partition> {
-        if k == 0 || k > self.exact_k.len() || !self.exact_k[k - 1].is_finite() {
-            return None;
-        }
-        let mut intervals = Vec::with_capacity(k);
-        let mut modes = Vec::with_capacity(k);
-        let mut i = self.n;
-        let mut kk = k;
-        while kk > 0 {
-            let j = self.parent[kk * self.stride + i] as usize;
-            intervals.push((j, i - 1));
-            modes.push(self.mode_of[kk * self.stride + i] as usize);
-            i = j;
-            kk -= 1;
-        }
-        intervals.reverse();
-        modes.reverse();
-        Some(Partition { intervals, modes })
-    }
-
-    /// Reconstruct the overall best partition; `None` if infeasible.
-    pub fn partition_best(&self) -> Option<Partition> {
-        let k = (1..=self.exact_k.len())
-            .filter(|&k| self.exact_k[k - 1].is_finite())
-            .min_by(|&a, &b| {
-                self.exact_k[a - 1].partial_cmp(&self.exact_k[b - 1]).expect("finite")
-            })?;
-        self.partition_exact(k)
-    }
+/// Minimum energy of `ctx`'s application subject to every interval
+/// cycle-time ≤ `t_bound` (Theorem 18 DP; each interval independently
+/// selects its cheapest feasible mode): [`energy_dp`] on a fresh table
+/// (lean under the overlap model, see `bi::energy_cost_table`), returning
+/// the solved scratch.
+pub fn energy_under_period(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> DpScratch {
+    let mut scratch = DpScratch::new();
+    let table = crate::bi::energy_cost_table(ctx);
+    energy_dp(&table, t_bound, qmax, &mut scratch);
+    scratch
 }
 
 #[cfg(test)]
@@ -1473,8 +1118,8 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         let t = period_table(&ctx, 1);
         // One interval: max(0/1, 14/8, 1/1) = 1.75.
-        assert!((t.best[0] - 1.75).abs() < 1e-12);
-        let part = t.partition(1, 0).unwrap();
+        assert!((t.best_row()[0] - 1.75).abs() < 1e-12);
+        let part = t.period_partition(1, 0).unwrap();
         assert_eq!(part.intervals, vec![(0, 3)]);
     }
 
@@ -1485,12 +1130,12 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         let t = period_table(&ctx, 4);
         // Non-increasing in q.
-        for w in t.best.windows(2) {
+        for w in t.best_row().windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }
         // Two intervals split (0,1)/(2,3): max(8/8, 1) then max(1, 6/8, 1) = 1.
-        assert!((t.best[1] - 1.0).abs() < 1e-12);
-        let part = t.partition(2, 0).unwrap();
+        assert!((t.best_row()[1] - 1.0).abs() < 1e-12);
+        let part = t.period_partition(2, 0).unwrap();
         assert_eq!(part.intervals.len(), 2);
         assert_eq!(part.intervals[0].0, 0);
         assert_eq!(part.intervals.last().unwrap().1, 3);
@@ -1503,32 +1148,15 @@ mod tests {
         let ov = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         let no = HomCtx::new(&a, &speeds, 1.0, CommModel::NoOverlap);
         for q in 1..=4 {
-            let tov = period_table(&ov, q).best[q - 1];
-            let tno = period_table(&no, q).best[q - 1];
+            let tov = period_table(&ov, q).best_row()[q - 1];
+            let tno = period_table(&no, q).best_row()[q - 1];
             assert!(tov <= tno + 1e-12);
         }
     }
 
     #[test]
-    fn period_best_only_matches_full_table() {
-        let a = app();
-        let speeds = [1.0, 8.0];
-        for model in CommModel::ALL {
-            let ctx = HomCtx::new(&a, &speeds, 2.0, model);
-            for q in 1..=5 {
-                let full = period_table(&ctx, q);
-                let lean = period_best_only(&ctx, q);
-                assert_eq!(full.best.len(), lean.len());
-                for (x, y) in full.best.iter().zip(&lean) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn nan_contaminated_input_yields_structured_error() {
-        // Regression: NaN-contaminated inputs used to make `partition`
+        // Regression: NaN-contaminated inputs used to make reconstruction
         // panic ("period table is consistent"); they must now surface a
         // structured ModelError (or a coherent partition where the max
         // combine absorbs the NaN) — never a panic.
@@ -1538,9 +1166,9 @@ mod tests {
         let bad_speeds = [f64::NAN];
         let ctx = HomCtx::new(&a, &bad_speeds, 1.0, CommModel::NoOverlap);
         let t = period_table(&ctx, 2);
-        let err = t.partition(2, 0).unwrap_err();
+        let err = t.period_partition(2, 0).unwrap_err();
         assert!(matches!(err, ModelError::NonFiniteData { .. }), "{err:?}");
-        let err = t.partition(1, 0).unwrap_err();
+        let err = t.period_partition(1, 0).unwrap_err();
         assert!(matches!(err, ModelError::NonFiniteData { .. }), "{err:?}");
         // NaN stage data (a poisoned edge weight) under the additive
         // no-overlap model: reconstruction must not panic whatever branch
@@ -1552,7 +1180,7 @@ mod tests {
             let ctx = HomCtx::new(&a, &speeds, 1.0, model);
             for q in 1..=4 {
                 let t = period_table(&ctx, q);
-                if let Ok(part) = t.partition(q, 0) {
+                if let Ok(part) = t.period_partition(q, 0) {
                     // Whatever survived must still be a chain cover.
                     assert_eq!(part.intervals[0].0, 0);
                     assert_eq!(part.intervals.last().unwrap().1, a.n() - 1);
@@ -1563,7 +1191,7 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, f64::NAN, CommModel::NoOverlap);
         let t = period_table(&ctx, 3);
         for q in 1..=3 {
-            let _ = t.partition(q, 0); // must not panic
+            let _ = t.period_partition(q, 0); // must not panic
         }
     }
 
@@ -1574,8 +1202,8 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         let t = latency_under_period(&ctx, 100.0, 4);
         // Single interval minimizes latency: 0 + 14/8 + 1 = 2.75.
-        assert!((t.best[3] - 2.75).abs() < 1e-12);
-        let part = t.partition(4, 0).unwrap();
+        assert!((t.best_row()[3] - 2.75).abs() < 1e-12);
+        let part = t.latency_partition(4, 0).unwrap();
         assert_eq!(part.intervals, vec![(0, 3)]);
     }
 
@@ -1586,11 +1214,11 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         // Period bound 1 forces ≥ 2 intervals (14/8 > 1).
         let t = latency_under_period(&ctx, 1.0, 4);
-        assert!(t.best[0].is_infinite());
-        assert!(t.best[1].is_finite());
+        assert!(t.best_row()[0].is_infinite());
+        assert!(t.best_row()[1].is_finite());
         // Split (0,1)/(2,3): latency 0 + 8/8 + 1/1 + 6/8 + 1/1 = 3.75.
-        assert!((t.best[1] - 3.75).abs() < 1e-12);
-        let part = t.partition(2, 0).unwrap();
+        assert!((t.best_row()[1] - 3.75).abs() < 1e-12);
+        let part = t.latency_partition(2, 0).unwrap();
         assert_eq!(part.intervals, vec![(0, 1), (2, 3)]);
     }
 
@@ -1601,8 +1229,8 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         // Outgoing edge of stage 3 costs 1; period 0.5 unachievable.
         let t = latency_under_period(&ctx, 0.5, 4);
-        assert!(t.best.iter().all(|l| l.is_infinite()));
-        assert!(t.partition(4, 0).is_none());
+        assert!(t.best_row().iter().all(|l| l.is_infinite()));
+        assert!(t.latency_partition(4, 0).is_none());
     }
 
     #[test]
@@ -1612,7 +1240,7 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         // Unbounded latency: dual returns the unconstrained optimum period.
         let (t, _) = min_period_under_latency(&ctx, f64::INFINITY, 4).unwrap();
-        let unconstrained = period_table(&ctx, 4).best[3];
+        let unconstrained = period_table(&ctx, 4).best_row()[3];
         assert!((t - unconstrained).abs() < 1e-12);
         // Latency bound 2.75 forces the single interval: period 1.75.
         let (t, part) = min_period_under_latency(&ctx, 2.75, 4).unwrap();
@@ -1629,15 +1257,15 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         // Period bound 14: one processor at speed 1 suffices (14/1 = 14).
         let t = energy_under_period(&ctx, 14.0, 3);
-        assert!((t.exact_k[0] - 1.0).abs() < 1e-12);
-        assert!((t.best - 1.0).abs() < 1e-12);
-        let part = t.partition_best().unwrap();
+        assert!((t.energy_exact_k()[0] - 1.0).abs() < 1e-12);
+        assert!((t.energy_best() - 1.0).abs() < 1e-12);
+        let part = t.energy_partition_best().unwrap();
         assert_eq!(part.modes, vec![0]);
         // Period bound 2: single proc needs speed ≥ 7 → mode 2 (64); two
         // procs can run at 6 (36 + 36 = 72) or mixed; best single = 64.
         let t = energy_under_period(&ctx, 2.0, 3);
-        assert!((t.exact_k[0] - 64.0).abs() < 1e-12);
-        assert!(t.best <= 64.0);
+        assert!((t.energy_exact_k()[0] - 64.0).abs() < 1e-12);
+        assert!(t.energy_best() <= 64.0);
     }
 
     #[test]
@@ -1648,9 +1276,9 @@ mod tests {
         // Period 1 with speed 1: stage 1 alone costs 2/1 = 2 > 1 → infeasible
         // at any k.
         let t = energy_under_period(&ctx, 1.0, 4);
-        assert!(t.exact_k.iter().all(|e| e.is_infinite()));
-        assert!(t.partition_best().is_none());
-        assert!(t.partition_exact(2).is_none());
+        assert!(t.energy_exact_k().iter().all(|e| e.is_infinite()));
+        assert!(t.energy_partition_best().is_none());
+        assert!(t.energy_partition_exact(2).is_none());
     }
 
     #[test]
@@ -1663,8 +1291,8 @@ mod tests {
         // Splitting pays +100 per extra processor; best should use 1 proc.
         let best_k = (1..=4)
             .min_by(|&x, &y| {
-                with_static.exact_k[x - 1]
-                    .partial_cmp(&with_static.exact_k[y - 1])
+                with_static.energy_exact_k()[x - 1]
+                    .partial_cmp(&with_static.energy_exact_k()[y - 1])
                     .unwrap()
             })
             .unwrap();
@@ -1678,7 +1306,7 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::NoOverlap);
         let cands = ctx.period_candidates();
         for q in 1..=3 {
-            let t = period_table(&ctx, q).best[q - 1];
+            let t = period_table(&ctx, q).best_row()[q - 1];
             assert!(
                 cands.iter().any(|c| (c - t).abs() < 1e-9),
                 "optimum {t} missing from candidates"
@@ -1706,13 +1334,6 @@ mod tests {
                         a.interval_work(lo, hi) / 8.0,
                         "compute lower bound [{lo},{hi}]"
                     );
-                    for tb in [0.1, 0.5, 1.0, 2.0, 7.0, 100.0] {
-                        assert_eq!(
-                            table.cheapest_feasible_mode(lo, hi, tb),
-                            ctx.cheapest_feasible_mode(lo, hi, tb),
-                            "[{lo},{hi}] under {tb}"
-                        );
-                    }
                 }
             }
         }
@@ -1750,41 +1371,50 @@ mod tests {
         let mut scratch = DpScratch::new();
         let order = [5.0, 0.5, 14.0, 1.0, 2.0, 2.0, 13.9, 0.1, 7.0];
         for &tb in &order {
-            let fast = energy_under_period_scratch(&table, tb, 4, &mut scratch);
-            let fresh = energy_under_period_with(&table, tb, 4);
-            assert_eq!(fast.exact_k, fresh.exact_k, "threshold {tb}");
-            assert_eq!(fast.partition_best(), fresh.partition_best(), "threshold {tb}");
+            energy_dp(&table, tb, 4, &mut scratch);
+            let mut fresh = DpScratch::new();
+            energy_dp(&table, tb, 4, &mut fresh);
+            assert_eq!(scratch.energy_exact_k(), fresh.energy_exact_k(), "threshold {tb}");
+            assert_eq!(
+                scratch.energy_partition_best(),
+                fresh.energy_partition_best(),
+                "threshold {tb}"
+            );
         }
     }
 
     #[test]
-    fn table_dp_variants_match_direct() {
+    fn wrappers_match_the_cores() {
         let a = app();
         let speeds = [1.0, 6.0, 8.0];
         for model in CommModel::ALL {
             let mut ctx = HomCtx::new(&a, &speeds, 1.0, model);
             ctx.e_stat = 0.5;
             let table = IntervalCostTable::build(&ctx);
-            assert_eq!(table.candidates(), ctx.period_candidates());
+            let cands = table.candidates();
+            assert_eq!(cands, ctx.period_candidates());
+            let mut core = DpScratch::new();
             for tb in [0.5, 1.0, 2.0, 4.0, 14.0] {
                 for q in 1..=4 {
                     let e_direct = energy_under_period(&ctx, tb, q);
-                    let e_table = energy_under_period_with(&table, tb, q);
-                    assert_eq!(e_direct.exact_k, e_table.exact_k);
-                    assert_eq!(e_direct.best, e_table.best);
-                    assert_eq!(e_direct.partition_best(), e_table.partition_best());
+                    energy_dp(&table, tb, q, &mut core);
+                    assert_eq!(e_direct.energy_exact_k(), core.energy_exact_k());
+                    assert_eq!(e_direct.energy_best(), core.energy_best());
+                    assert_eq!(e_direct.energy_partition_best(), core.energy_partition_best());
                     let l_direct = latency_under_period(&ctx, tb, q);
-                    let l_table = latency_under_period_with(&table, tb, q);
-                    assert_eq!(l_direct.best, l_table.best);
-                    assert_eq!(l_direct.partition(q, 2), l_table.partition(q, 2));
-                    // Best-only probe agrees bitwise with the full table.
-                    let probe = latency_best_under_period_with(
-                        &table,
-                        tb,
-                        q,
-                        &mut DpScratch::new(),
-                    );
-                    assert_eq!(probe.to_bits(), l_table.best[q - 1].to_bits());
+                    latency_dp(&table, tb, q, &mut core);
+                    assert_eq!(l_direct.best_row(), core.best_row());
+                    assert_eq!(l_direct.latency_partition(q, 2), core.latency_partition(q, 2));
+                    // The dual search meets the latency reached under `tb`
+                    // at a period no larger than `tb`.
+                    let l = core.best_row()[q - 1];
+                    if l.is_finite() {
+                        let t = min_period_under_latency_probe(&table, &cands, l, q, &mut core)
+                            .expect("the latency reached under tb is reachable");
+                        assert!(t <= tb, "{t} > {tb}");
+                        latency_dp(&table, t, q, &mut core);
+                        assert!(num::le(core.best_row()[q - 1], l));
+                    }
                 }
             }
         }
@@ -1797,7 +1427,7 @@ mod tests {
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
         for q in 1..=4 {
             let t = period_table(&ctx, q);
-            let part = t.partition(q, 1).unwrap();
+            let part = t.period_partition(q, 1).unwrap();
             assert_eq!(part.intervals[0].0, 0);
             assert_eq!(part.intervals.last().unwrap().1, a.n() - 1);
             for w in part.intervals.windows(2) {

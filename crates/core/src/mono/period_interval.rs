@@ -2,14 +2,14 @@
 //! platforms.
 //!
 //! The single-application subproblem (minimum period of one chain over `q`
-//! identical processors) is the dynamic program of [`crate::dp::period_table`];
+//! identical processors) is the dynamic program of [`crate::dp::period_dp`];
 //! the paper's **Algorithm 2** then distributes the `p` processors across
 //! the `A` concurrent applications greedily — provably optimally, because
 //! each application's optimal period is non-increasing in its processor
 //! count.
 
 use crate::alloc::allocate_processors;
-use crate::dp::{period_table_with, DpScratch, HomCtx, IntervalCostTable, PeriodTable};
+use crate::dp::{period_dp, DpWorkspace, HomCtx, IntervalCostTable};
 use crate::solution::Solution;
 use cpo_model::num;
 use cpo_model::prelude::*;
@@ -50,27 +50,28 @@ pub fn minimize_global_period(
     }
     let speeds = platform.procs[0].speeds().to_vec();
 
-    // Per-application period tables, computed once up to the maximum number
-    // of processors any application could receive, sharing one DP scratch.
+    // Per-application period DPs, solved once up to the maximum number of
+    // processors any application could receive, one scratch per
+    // application so the partitions stay readable after the allocation.
     let qmax = p - a_count + 1;
-    let mut scratch = DpScratch::new();
-    let tables: Vec<PeriodTable> = apps
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(a, app)| {
-            let comm = super::uniform_comm(platform, a)?;
-            let ctx = HomCtx::with_comm(app, &speeds, comm, model);
-            Some(period_table_with(&IntervalCostTable::build(&ctx), qmax, &mut scratch))
-        })
-        .collect::<Option<Vec<_>>>()?;
+    let mut workspace = DpWorkspace::new();
+    for (a, app) in apps.apps.iter().enumerate() {
+        let comm = super::uniform_comm(platform, a)?;
+        let ctx = HomCtx::with_comm(app, &speeds, comm, model);
+        period_dp(
+            &IntervalCostTable::build(&ctx),
+            qmax,
+            workspace.app_scratch(a),
+        );
+    }
+    let per_app = &workspace.per_app;
     let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
 
-    let alloc = allocate_processors(a_count, p, &weights, |a, q| tables[a].best[q - 1])?;
+    let alloc = allocate_processors(a_count, p, &weights, |a, q| per_app[a].best_row()[q - 1])?;
 
     let top = speeds.len() - 1;
     let partitions: Vec<_> = (0..a_count)
-        .map(|a| tables[a].partition(alloc.procs[a], top).ok())
+        .map(|a| per_app[a].period_partition(alloc.procs[a], top).ok())
         .collect::<Option<Vec<_>>>()?;
     let mapping = mapping_from_partitions(&partitions);
     debug_assert!(mapping.validate(apps, platform).is_ok());

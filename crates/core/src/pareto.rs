@@ -233,8 +233,14 @@ impl CandidateSolver for IntervalLatencySolver<'_> {
     fn solve(&self, state: &mut Self::State, t: f64) -> Option<Scored> {
         let (ws, bounds) = state;
         fill_bounds(self.apps, t, bounds);
-        let sol =
-            min_latency_under_period_scratch(self.apps, self.platform, &self.tables, bounds, ws)?;
+        let sol = min_latency_under_period_scratch(
+            self.apps,
+            self.platform,
+            &self.tables,
+            bounds,
+            self.platform.p(),
+            ws,
+        )?;
         let achieved = Evaluator::new(self.apps, self.platform).period(&sol.mapping, self.model);
         Some(Scored { achieved, objective: sol.objective, solution: sol })
     }

@@ -446,7 +446,7 @@ mod tests {
         let app = Application::from_pairs(0.0, &[(8.0, 0.0)]);
         let speeds = [2.0];
         let ctx = ctx_for(&app, &speeds);
-        let plain = crate::dp::period_table(&ctx, 4).best[3];
+        let plain = crate::dp::period_table(&ctx, 4).best_row()[3];
         let repl = replicated_period_table(&ctx, 4).best[3];
         assert!((plain - 4.0).abs() < 1e-12);
         assert!((repl - 1.0).abs() < 1e-12); // 8/2/4
@@ -478,7 +478,7 @@ mod tests {
             let speeds = [1.0, 3.0];
             let ctx = ctx_for(&apps.apps[0], &speeds);
             for p in 1..=5 {
-                let plain = crate::dp::period_table(&ctx, p).best[p - 1];
+                let plain = crate::dp::period_table(&ctx, p).best_row()[p - 1];
                 let repl = replicated_period_table(&ctx, p).best[p - 1];
                 assert!(repl <= plain + 1e-9, "seed {seed} p {p}");
             }

@@ -785,6 +785,7 @@ fn execute(
                     platform,
                     &tables,
                     &scratch.tb,
+                    platform.p(),
                     &mut scratch.ws,
                 ),
             )
@@ -817,15 +818,8 @@ fn execute(
             )
         }
         Plan::EnergyInterval => {
-            // Mirror the one-shot entry point exactly: lean tables under
-            // the overlap model (the run-decomposed core never reads the
-            // cycle matrices), full tables otherwise.
-            let tables = if matches!(comm, CommModel::Overlap) {
-                crate::bi::interval_cost_tables_lean(apps, platform, comm)
-            } else {
-                crate::bi::interval_cost_tables(apps, platform, comm)
-            };
-            let Some(tables) = tables else {
+            // The same tables as the one-shot entry point.
+            let Some(tables) = crate::bi::energy_cost_tables(apps, platform, comm) else {
                 return infeasible(spec);
             };
             fill_bounds(&mut scratch.tb, &spec.constraints.period, a);

@@ -6,16 +6,15 @@
 //! budget translates into a cap on the processor count and every variant
 //! reduces to the bi-criteria machinery plus Algorithm 2:
 //!
-//! * minimize the period under latency bounds and an energy budget;
-//! * minimize the latency under period bounds and an energy budget;
+//! * minimize the period under latency bounds and an energy budget — the
+//!   Theorem 16 dual on the capped processor count;
+//! * minimize the latency under period bounds and an energy budget — the
+//!   Theorem 16 solver on the capped processor count;
 //! * minimize the energy under period and latency bounds (take, per
 //!   application, the fewest processors that satisfy both).
 
-use crate::alloc::allocate_processors;
-use crate::dp::{
-    latency_dp, min_period_under_latency_probe, min_period_under_latency_scratch, DpScratch,
-    DpWorkspace, HomCtx, IntervalCostTable,
-};
+use crate::bi::period_latency::{min_latency_under_period_scratch, min_period_under_latency_on};
+use crate::dp::{latency_dp, DpScratch, DpWorkspace, HomCtx, IntervalCostTable};
 use crate::mono::period_interval::mapping_from_partitions;
 use crate::solution::Solution;
 use cpo_model::num;
@@ -57,59 +56,9 @@ pub fn min_period_tri_unimodal(
     latency_bounds: &[f64],
     energy_budget: f64,
 ) -> Option<Solution> {
-    assert_eq!(latency_bounds.len(), apps.a());
     let (_, _, e_per_proc) = unimodal_params(platform)?;
-    let speeds = platform.procs[0].speeds().to_vec();
     let k = proc_cap(platform.p(), e_per_proc, energy_budget);
-    let a_count = apps.a();
-    if k < a_count {
-        return None;
-    }
-    // Cost tables and candidate-period sets built once per application,
-    // reused by every (latency bound, processor count) probe below; the
-    // probes run the lean best-only recurrence on one shared scratch.
-    let tables: Vec<IntervalCostTable> = apps
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(a, app)| {
-            let comm = platform.uniform_comm(a)?;
-            Some(IntervalCostTable::build(&HomCtx::with_comm(app, &speeds, comm, model)))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let candidates: Vec<Vec<f64>> = tables.iter().map(|t| t.candidates()).collect();
-    let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
-    let mut scratch = DpScratch::new();
-    let alloc = allocate_processors(a_count, k, &weights, |a, q| {
-        min_period_under_latency_probe(
-            &tables[a],
-            &candidates[a],
-            latency_bounds[a],
-            q,
-            &mut scratch,
-        )
-        .unwrap_or(f64::INFINITY)
-    })?;
-    if !alloc.objective.is_finite() {
-        return None;
-    }
-    let partitions: Vec<_> = (0..a_count)
-        .map(|a| {
-            min_period_under_latency_scratch(
-                &tables[a],
-                &candidates[a],
-                latency_bounds[a],
-                alloc.procs[a],
-                &mut scratch,
-            )
-            .expect("finite objective")
-            .1
-        })
-        .collect();
-    let mapping = mapping_from_partitions(&partitions);
-    debug_assert!(mapping.validate(apps, platform).is_ok());
-    let achieved = Evaluator::new(apps, platform).period(&mapping, model);
-    Some(Solution::new(mapping, achieved))
+    min_period_under_latency_on(apps, platform, model, latency_bounds, k)
 }
 
 /// Theorem 24 (variant 2): minimize the global weighted latency under
@@ -121,39 +70,11 @@ pub fn min_latency_tri_unimodal(
     period_bounds: &[f64],
     energy_budget: f64,
 ) -> Option<Solution> {
-    assert_eq!(period_bounds.len(), apps.a());
     let (_, _, e_per_proc) = unimodal_params(platform)?;
-    let speeds = platform.procs[0].speeds().to_vec();
     let k = proc_cap(platform.p(), e_per_proc, energy_budget);
-    let a_count = apps.a();
-    if k < a_count {
-        return None;
-    }
-    let qmax = k - a_count + 1;
-    // Per-application Theorem 15 tables in a reusable workspace (flat
-    // arenas, one scratch per application so partitions stay available
-    // after the allocation).
+    let tables = crate::bi::interval_cost_tables(apps, platform, model)?;
     let mut workspace = DpWorkspace::new();
-    for (a, (app, &tb)) in apps.apps.iter().zip(period_bounds).enumerate() {
-        let comm = platform.uniform_comm(a)?;
-        let ctx = HomCtx::with_comm(app, &speeds, comm, model);
-        latency_dp(&IntervalCostTable::build(&ctx), tb, qmax, workspace.app_scratch(a));
-    }
-    let per_app = &workspace.per_app;
-    let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
-    let alloc =
-        allocate_processors(a_count, k, &weights, |a, q| per_app[a].best_row()[q - 1])?;
-    if !alloc.objective.is_finite() {
-        return None;
-    }
-    let top = speeds.len() - 1;
-    let partitions: Vec<_> = (0..a_count)
-        .map(|a| per_app[a].latency_partition(alloc.procs[a], top).expect("finite objective"))
-        .collect();
-    let mapping = mapping_from_partitions(&partitions);
-    debug_assert!(mapping.validate(apps, platform).is_ok());
-    let achieved = Evaluator::new(apps, platform).latency(&mapping);
-    Some(Solution::new(mapping, achieved))
+    min_latency_under_period_scratch(apps, platform, &tables, period_bounds, k, &mut workspace)
 }
 
 /// Theorem 24 (variant 3): minimize the total energy under per-application
@@ -326,5 +247,83 @@ mod tests {
         let pf = Platform::fully_homogeneous(4, vec![1.0, 2.0], 1.0).unwrap();
         assert!(min_period_tri_unimodal(&apps, &pf, CommModel::Overlap, &[1e9, 1e9], 100.0)
             .is_none());
+    }
+
+    fn same_solution(x: &Option<Solution>, y: &Option<Solution>) -> bool {
+        match (x, y) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                x.objective.to_bits() == y.objective.to_bits() && x.mapping == y.mapping
+            }
+            _ => false,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Theorem 24 is Theorem 16 on the processors the energy budget
+        /// affords: both tri-criteria variants equal the bi-criteria solvers
+        /// run on the platform cut down to `proc_cap` processors — bitwise
+        /// objective, identical mapping — under both communication models.
+        #[test]
+        fn theorem24_is_theorem16_on_the_capped_platform(
+            seed in 0u64..100_000,
+            procs in 1usize..8,
+            cap_tenths in 0u32..90,
+        ) {
+            use crate::bi::period_latency::{
+                min_latency_under_period_fully_hom, min_period_under_latency_fully_hom,
+            };
+            use cpo_model::generator::{
+                random_apps, random_fully_homogeneous, AppGenConfig, PlatformGenConfig,
+            };
+            use rand::{Rng as _, SeedableRng as _};
+
+            let apps = random_apps(
+                &AppGenConfig { apps: 2, stages: (1, 5), ..Default::default() },
+                seed,
+            );
+            let pf_cfg = PlatformGenConfig {
+                procs,
+                modes: (1, 1),
+                e_stat: (0.0, 3.0),
+                ..Default::default()
+            };
+            let pf = random_fully_homogeneous(&pf_cfg, seed ^ 0x24);
+            let (s, _, e_per_proc) = unimodal_params(&pf).expect("uni-modal fully homogeneous");
+            let budget = e_per_proc * f64::from(cap_tenths) / 10.0;
+            let k = proc_cap(pf.p(), e_per_proc, budget);
+            let capped = (k > 0)
+                .then(|| Platform::new(pf.procs[..k].to_vec(), pf.links.clone()).unwrap());
+            let b = pf.uniform_comm(0).expect("uniform links").bandwidth;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Bounds from loose to infeasible, on each application's
+            // one-processor scale.
+            let mut bounds = || -> Vec<f64> {
+                apps.apps
+                    .iter()
+                    .map(|app| {
+                        let inputs: f64 = (0..app.n()).map(|i| app.input_of(i)).sum();
+                        let comm = inputs + app.output_of(app.n() - 1);
+                        rng.gen_range(0.4..2.0) * (app.total_work() / s + comm / b)
+                    })
+                    .collect()
+            };
+            for model in CommModel::ALL {
+                let lb = bounds();
+                let tri = min_period_tri_unimodal(&apps, &pf, model, &lb, budget);
+                let bi = capped
+                    .as_ref()
+                    .and_then(|c| min_period_under_latency_fully_hom(&apps, c, model, &lb));
+                proptest::prop_assert!(same_solution(&tri, &bi), "period, k={}", k);
+                let tb = bounds();
+                let tri = min_latency_tri_unimodal(&apps, &pf, model, &tb, budget);
+                let bi = capped
+                    .as_ref()
+                    .and_then(|c| min_latency_under_period_fully_hom(&apps, c, model, &tb));
+                proptest::prop_assert!(same_solution(&tri, &bi), "latency, k={}", k);
+            }
+        }
     }
 }

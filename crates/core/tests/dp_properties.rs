@@ -3,9 +3,8 @@
 //! `exact` module — a genuinely different oracle).
 
 use cpo_core::dp::{
-    energy_under_period, energy_under_period_with, latency_under_period,
-    latency_under_period_with, min_period_under_latency, period_best_only, period_table,
-    HomCtx, IntervalCostTable,
+    energy_dp, energy_under_period, latency_dp, latency_under_period, min_period_under_latency,
+    period_table, DpScratch, HomCtx, IntervalCostTable,
 };
 use cpo_model::application::Application;
 use cpo_model::energy::EnergyModel;
@@ -101,7 +100,7 @@ proptest! {
         let speeds = [1.0, 4.0];
         for model in CommModel::ALL {
             let ctx = HomCtx::new(&app, &speeds, 2.0, model);
-            let dp = period_table(&ctx, qi).best[qi - 1];
+            let dp = period_table(&ctx, qi).best_row()[qi - 1];
             let brute = brute_period(&ctx, qi);
             prop_assert!(close_or_both_inf(dp, brute), "{dp} vs {brute}");
         }
@@ -114,7 +113,7 @@ proptest! {
         let t_bound = tb as f64;
         for model in CommModel::ALL {
             let ctx = HomCtx::new(&app, &speeds, 2.0, model);
-            let dp = latency_under_period(&ctx, t_bound, qi).best[qi - 1];
+            let dp = latency_under_period(&ctx, t_bound, qi).best_row()[qi - 1];
             let brute = brute_latency_under_period(&ctx, t_bound, qi);
             prop_assert!(close_or_both_inf(dp, brute), "{dp} vs {brute} (T={t_bound}, q={qi})");
         }
@@ -129,7 +128,7 @@ proptest! {
             let mut ctx = HomCtx::new(&app, &speeds, 2.0, model);
             ctx.e_stat = 1.5;
             let table = energy_under_period(&ctx, t_bound, qi);
-            let dp = table.exact_k.iter().take(qi).copied().fold(f64::INFINITY, f64::min);
+            let dp = table.energy_exact_k().iter().take(qi).copied().fold(f64::INFINITY, f64::min);
             let brute = brute_energy_under_period(&ctx, t_bound, qi);
             prop_assert!(close_or_both_inf(dp, brute), "{dp} vs {brute} (T={t_bound}, q={qi})");
         }
@@ -143,10 +142,10 @@ proptest! {
         let app = random_app(seed);
         let speeds = [2.0];
         let ctx = HomCtx::new(&app, &speeds, 1.0, CommModel::Overlap);
-        let l_star = latency_under_period(&ctx, f64::INFINITY, qi).best[qi - 1];
+        let l_star = latency_under_period(&ctx, f64::INFINITY, qi).best_row()[qi - 1];
         prop_assert!(l_star.is_finite());
         let (t, _) = min_period_under_latency(&ctx, l_star, qi).expect("l* is achievable");
-        let l_back = latency_under_period(&ctx, t, qi).best[qi - 1];
+        let l_back = latency_under_period(&ctx, t, qi).best_row()[qi - 1];
         prop_assert!(l_back <= l_star + 1e-9, "{l_back} vs {l_star}");
     }
 
@@ -159,8 +158,8 @@ proptest! {
         let more = [1.0, 2.0, 8.0];
         let ctx_few = HomCtx::new(&app, &few, 2.0, CommModel::Overlap);
         let ctx_more = HomCtx::new(&app, &more, 2.0, CommModel::Overlap);
-        let e_few = energy_under_period(&ctx_few, t_bound, 4).best;
-        let e_more = energy_under_period(&ctx_more, t_bound, 4).best;
+        let e_few = energy_under_period(&ctx_few, t_bound, 4).energy_best();
+        let e_more = energy_under_period(&ctx_more, t_bound, 4).energy_best();
         prop_assert!(e_more <= e_few + 1e-9);
     }
 
@@ -170,19 +169,23 @@ proptest! {
         let speeds = [1.0, 3.0];
         let ctx = HomCtx::new(&app, &speeds, 2.0, CommModel::Overlap);
         let table = period_table(&ctx, qi);
-        let part = table.partition(qi, 1).expect("finite stage data");
+        let part = table.period_partition(qi, 1).expect("finite stage data");
         let s = ctx.max_speed();
         let t = part.intervals.iter().map(|&(lo, hi)| ctx.cycle(lo, hi, s)).fold(0.0f64, f64::max);
-        prop_assert!((t - table.best[qi - 1]).abs() < 1e-9);
+        prop_assert!((t - table.best_row()[qi - 1]).abs() < 1e-9);
         // Structural sanity.
         prop_assert_eq!(part.intervals[0].0, 0);
         prop_assert_eq!(part.intervals.last().unwrap().1, app.n() - 1);
     }
 
     #[test]
-    fn with_forms_match_direct_forms(seed in 0u64..100_000, tb_tenths in 0u32..200, qi in 1usize..6) {
-        // The prebuilt-table `_with` forms must agree with the direct
-        // HomCtx forms on random instances — including *infeasible* period
+    fn wrappers_match_cores_on_prebuilt_tables(
+        seed in 0u64..100_000,
+        tb_tenths in 0u32..200,
+        qi in 1usize..6,
+    ) {
+        // The cores on a prebuilt full table must agree with the HomCtx
+        // wrappers on random instances — including *infeasible* period
         // bounds (tb can be 0) — under both communication models, down to
         // the reconstructed partitions.
         let app = random_app(seed);
@@ -193,37 +196,27 @@ proptest! {
             ctx.e_stat = 0.75;
             let table = IntervalCostTable::build(&ctx);
             let l_direct = latency_under_period(&ctx, t_bound, qi);
-            let l_table = latency_under_period_with(&table, t_bound, qi);
-            prop_assert_eq!(l_direct.best.len(), l_table.best.len());
-            for (x, y) in l_direct.best.iter().zip(&l_table.best) {
+            let mut l_table = DpScratch::new();
+            latency_dp(&table, t_bound, qi, &mut l_table);
+            prop_assert_eq!(l_direct.best_row().len(), l_table.best_row().len());
+            for (x, y) in l_direct.best_row().iter().zip(l_table.best_row()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "latency best (T={})", t_bound);
             }
-            prop_assert_eq!(l_direct.partition(qi, 2), l_table.partition(qi, 2));
+            prop_assert_eq!(l_direct.latency_partition(qi, 2), l_table.latency_partition(qi, 2));
             let e_direct = energy_under_period(&ctx, t_bound, qi);
-            let e_table = energy_under_period_with(&table, t_bound, qi);
-            prop_assert_eq!(e_direct.exact_k.len(), e_table.exact_k.len());
-            for (x, y) in e_direct.exact_k.iter().zip(&e_table.exact_k) {
+            let mut e_table = DpScratch::new();
+            energy_dp(&table, t_bound, qi, &mut e_table);
+            prop_assert_eq!(e_direct.energy_exact_k().len(), e_table.energy_exact_k().len());
+            for (x, y) in e_direct.energy_exact_k().iter().zip(e_table.energy_exact_k()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "energy exact_k (T={})", t_bound);
             }
-            prop_assert_eq!(e_direct.best.to_bits(), e_table.best.to_bits());
-            prop_assert_eq!(e_direct.partition_best(), e_table.partition_best());
-            for k in 1..=e_direct.exact_k.len() {
-                prop_assert_eq!(e_direct.partition_exact(k), e_table.partition_exact(k));
-            }
-        }
-    }
-
-    #[test]
-    fn period_best_only_is_bitwise_equal(seed in 0u64..100_000, qi in 1usize..7) {
-        let app = random_app(seed);
-        let speeds = [1.5, 4.0];
-        for model in CommModel::ALL {
-            let ctx = HomCtx::new(&app, &speeds, 1.0, model);
-            let full = period_table(&ctx, qi);
-            let lean = period_best_only(&ctx, qi);
-            prop_assert_eq!(full.best.len(), lean.len());
-            for (x, y) in full.best.iter().zip(&lean) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
+            prop_assert_eq!(e_direct.energy_best().to_bits(), e_table.energy_best().to_bits());
+            prop_assert_eq!(e_direct.energy_partition_best(), e_table.energy_partition_best());
+            for k in 1..=e_direct.energy_exact_k().len() {
+                prop_assert_eq!(
+                    e_direct.energy_partition_exact(k),
+                    e_table.energy_partition_exact(k)
+                );
             }
         }
     }
@@ -238,8 +231,8 @@ proptest! {
         let mut high = HomCtx::new(&app, &speeds, 1.0, CommModel::Overlap);
         high.energy = EnergyModel::new(3.0);
         let t_bound = app.total_work(); // generous
-        let e_low = energy_under_period(&low, t_bound, 3).best;
-        let e_high = energy_under_period(&high, t_bound, 3).best;
+        let e_low = energy_under_period(&low, t_bound, 3).energy_best();
+        let e_high = energy_under_period(&high, t_bound, 3).energy_best();
         if e_low.is_finite() && e_high.is_finite() {
             prop_assert!(e_high >= e_low - 1e-9);
         }

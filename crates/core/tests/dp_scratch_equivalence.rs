@@ -16,9 +16,8 @@
 #![allow(clippy::needless_range_loop, clippy::type_complexity)]
 
 use cpo_core::dp::{
-    energy_under_period_scratch, energy_under_period_with, latency_best_under_period_with,
-    latency_under_period_scratch, latency_under_period_with, period_best_only_with,
-    period_table_with, DpScratch, HomCtx, IntervalCostTable,
+    energy_dp, latency_dp, min_period_under_latency_probe, period_dp, DpScratch, HomCtx,
+    IntervalCostTable,
 };
 use cpo_model::eval::CommModel;
 use cpo_model::generator::{random_apps, AppGenConfig};
@@ -269,13 +268,11 @@ proptest! {
             let table = IntervalCostTable::build(&ctx);
             for q in 1..=(app.n() + 2) {
                 let oracle = ref_period_table(&ctx, q);
-                let fast = period_table_with(&table, q, &mut scratch);
-                prop_assert_eq!(bits(&oracle.best), bits(&fast.best), "best, q={}", q);
-                let lean = period_best_only_with(&table, q, &mut scratch);
-                prop_assert_eq!(bits(&oracle.best), bits(&lean), "lean best, q={}", q);
+                period_dp(&table, q, &mut scratch);
+                prop_assert_eq!(bits(&oracle.best), bits(scratch.best_row()), "best, q={}", q);
                 let o_part =
                     ref_partition(&oracle, app.n(), q, false, oracle.best[q - 1]).unwrap();
-                let f_part = fast.partition(q, speeds.len() - 1).unwrap();
+                let f_part = scratch.period_partition(q, speeds.len() - 1).unwrap();
                 prop_assert_eq!(&o_part.0, &f_part.intervals, "partition, q={}", q);
             }
         }
@@ -298,18 +295,13 @@ proptest! {
             for tb in thresholds_for(&ctx, &mut rng) {
                 for q in 1..=(app.n() + 1) {
                     let oracle = ref_latency_table(&ctx, tb, q);
-                    let fast = latency_under_period_scratch(&table, tb, q, &mut scratch);
+                    latency_dp(&table, tb, q, &mut scratch);
                     prop_assert_eq!(
-                        bits(&oracle.best), bits(&fast.best),
+                        bits(&oracle.best), bits(scratch.best_row()),
                         "best, t={}, q={}", tb, q
                     );
-                    let probe = latency_best_under_period_with(&table, tb, q, &mut scratch);
-                    prop_assert_eq!(
-                        probe.to_bits(), oracle.best[q - 1].to_bits(),
-                        "probe, t={}, q={}", tb, q
-                    );
                     let o_part = ref_partition(&oracle, app.n(), q, false, oracle.best[q - 1]);
-                    let f_part = fast.partition(q, speeds.len() - 1);
+                    let f_part = scratch.latency_partition(q, speeds.len() - 1);
                     match (o_part, f_part) {
                         (None, None) => {}
                         (Some(o), Some(f)) => {
@@ -317,6 +309,18 @@ proptest! {
                         }
                         other => prop_assert!(false, "feasibility mismatch: {:?}", other),
                     }
+                    // The dual's probe at the single candidate `tb` accepts
+                    // exactly the oracle's optimum and leaves its DP behind.
+                    let l = oracle.best[q - 1];
+                    let probe = min_period_under_latency_probe(&table, &[tb], l, q, &mut scratch);
+                    prop_assert_eq!(
+                        probe.is_some(), oracle.best[q - 1].is_finite(),
+                        "probe, t={}, q={}", tb, q
+                    );
+                    prop_assert_eq!(
+                        scratch.best_row()[q - 1].to_bits(), oracle.best[q - 1].to_bits(),
+                        "probe, t={}, q={}", tb, q
+                    );
                 }
             }
         }
@@ -343,9 +347,9 @@ proptest! {
                     let oracle = ref_energy_table(&ctx, tb, q);
                     // Reuse one scratch across every (model, tb, q): the
                     // frontier cache must never change a result.
-                    let fast = energy_under_period_scratch(&table, tb, q, &mut scratch);
+                    energy_dp(&table, tb, q, &mut scratch);
                     prop_assert_eq!(
-                        bits(&oracle.exact_k), bits(&fast.exact_k),
+                        bits(&oracle.exact_k), bits(scratch.energy_exact_k()),
                         "exact_k, t={}, q={}", tb, q
                     );
                     let kcap = oracle.exact_k.len();
@@ -355,7 +359,7 @@ proptest! {
                         } else {
                             None
                         };
-                        let f_part = fast.partition_exact(k);
+                        let f_part = scratch.energy_partition_exact(k);
                         match (o_part, f_part) {
                             (None, None) => {}
                             (Some(o), Some(f)) => {
@@ -392,21 +396,24 @@ proptest! {
             let q = rng.gen_range(1..=5);
             match round % 3 {
                 0 => {
-                    let shared_t = energy_under_period_scratch(&table, tb, q, &mut shared);
-                    let fresh = energy_under_period_with(&table, tb, q);
-                    prop_assert_eq!(bits(&shared_t.exact_k), bits(&fresh.exact_k));
-                    prop_assert_eq!(shared_t.partition_best(), fresh.partition_best());
+                    energy_dp(&table, tb, q, &mut shared);
+                    let mut fresh = DpScratch::new();
+                    energy_dp(&table, tb, q, &mut fresh);
+                    prop_assert_eq!(bits(shared.energy_exact_k()), bits(fresh.energy_exact_k()));
+                    prop_assert_eq!(shared.energy_partition_best(), fresh.energy_partition_best());
                 }
                 1 => {
-                    let shared_t = latency_under_period_scratch(&table, tb, q, &mut shared);
-                    let fresh = latency_under_period_with(&table, tb, q);
-                    prop_assert_eq!(bits(&shared_t.best), bits(&fresh.best));
-                    prop_assert_eq!(shared_t.partition(q, 0), fresh.partition(q, 0));
+                    latency_dp(&table, tb, q, &mut shared);
+                    let mut fresh = DpScratch::new();
+                    latency_dp(&table, tb, q, &mut fresh);
+                    prop_assert_eq!(bits(shared.best_row()), bits(fresh.best_row()));
+                    prop_assert_eq!(shared.latency_partition(q, 0), fresh.latency_partition(q, 0));
                 }
                 _ => {
-                    let shared_t = period_table_with(&table, q, &mut shared);
-                    let fresh = period_table_with(&table, q, &mut DpScratch::new());
-                    prop_assert_eq!(bits(&shared_t.best), bits(&fresh.best));
+                    period_dp(&table, q, &mut shared);
+                    let mut fresh = DpScratch::new();
+                    period_dp(&table, q, &mut fresh);
+                    prop_assert_eq!(bits(shared.best_row()), bits(fresh.best_row()));
                 }
             }
         }

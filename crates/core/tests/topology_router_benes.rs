@@ -15,7 +15,7 @@
 //!   `PerApp` link vectors anywhere, degrade to **typed** `Unsupported`
 //!   outcomes instead of panicking.
 
-use cpo_core::dp::{period_table_with, DpScratch, HomCtx, IntervalCostTable};
+use cpo_core::dp::{period_dp, DpScratch, HomCtx, IntervalCostTable};
 use cpo_core::router::{self, BenesBase, Plan};
 use cpo_model::generator::{random_apps, random_fully_homogeneous, AppGenConfig, PlatformGenConfig};
 use cpo_model::prelude::*;
@@ -170,18 +170,12 @@ proptest! {
             for model in MODELS {
                 let old_ctx = HomCtx::new(app, &speeds, b, model);
                 let new_ctx = HomCtx::with_comm(app, &speeds, comm, model);
-                let old = period_table_with(
-                    &IntervalCostTable::build(&old_ctx),
-                    app.n(),
-                    &mut DpScratch::new(),
-                );
-                let new = period_table_with(
-                    &IntervalCostTable::build(&new_ctx),
-                    app.n(),
-                    &mut DpScratch::new(),
-                );
-                prop_assert_eq!(old.best.len(), new.best.len());
-                for (o, n) in old.best.iter().zip(&new.best) {
+                let mut old = DpScratch::new();
+                period_dp(&IntervalCostTable::build(&old_ctx), app.n(), &mut old);
+                let mut new = DpScratch::new();
+                period_dp(&IntervalCostTable::build(&new_ctx), app.n(), &mut new);
+                prop_assert_eq!(old.best_row().len(), new.best_row().len());
+                for (o, n) in old.best_row().iter().zip(new.best_row()) {
                     prop_assert_eq!(o.to_bits(), n.to_bits());
                 }
             }

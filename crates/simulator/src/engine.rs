@@ -116,7 +116,7 @@ impl Engine {
     /// Returns [`ModelError::NonFiniteData`] when any registered duration
     /// is NaN or infinite (e.g. NaN-contaminated stage data that slipped
     /// past model validation) — the same convention as
-    /// `PeriodTable::partition` in `cpo_core` — instead of panicking
+    /// `DpScratch::period_partition` in `cpo_core` — instead of panicking
     /// mid-run on an unordered event time.
     ///
     /// Panics if the dependency graph is cyclic (some operation never

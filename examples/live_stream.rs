@@ -44,15 +44,17 @@ fn main() {
     let ctx = HomCtx::new(&app, &speeds, 1.0, CommModel::Overlap);
 
     let table = period_table(&ctx, WORKERS);
-    let partition = table.partition(WORKERS, 0).expect("finite stage data");
+    let partition = table
+        .period_partition(WORKERS, 0)
+        .expect("finite stage data");
     println!(
         "chain works {:?} ms; DP balanced partition over ≤ {} workers: {:?} \
          (analytic period {:.0} ms vs {:.0} ms on one worker)",
         STAGE_MS,
         WORKERS,
         partition.intervals,
-        table.best[WORKERS - 1],
-        table.best[0]
+        table.best_row()[WORKERS - 1],
+        table.best_row()[0]
     );
 
     let naive = vec![(0usize, STAGE_MS.len() - 1)];
@@ -68,7 +70,7 @@ fn main() {
     );
 
     let speedup = thr_balanced / thr_naive;
-    let predicted = table.best[0] / table.best[WORKERS - 1];
+    let predicted = table.best_row()[0] / table.best_row()[WORKERS - 1];
     println!("speedup: {speedup:.2}× measured vs {predicted:.2}× predicted by the period model");
     assert!(
         speedup > 0.6 * predicted,

@@ -20,7 +20,9 @@ use concurrent_pipelines::solvers::exact::{exact_optimize, ExactConfig, SpeedPol
 use concurrent_pipelines::solvers::mono::latency::min_latency_interval_comm_hom;
 use concurrent_pipelines::solvers::mono::period_interval::minimize_global_period;
 use concurrent_pipelines::solvers::mono::period_one_to_one::min_period_one_to_one_comm_hom;
-use concurrent_pipelines::solvers::tri::unimodal::min_latency_tri_unimodal;
+use concurrent_pipelines::solvers::tri::unimodal::{
+    min_latency_tri_unimodal, min_period_tri_unimodal,
+};
 use concurrent_pipelines::solvers::{Criterion, MappingKind};
 
 const SEEDS: u64 = 60;
@@ -278,6 +280,39 @@ fn t2_tri_unimodal() {
                 "tri unimodal latency",
                 seed,
             );
+            // Period variant: latency bounds at 1×, 1.3× and 3× each
+            // application's single-interval latency (splitting only adds
+            // communication, so 1× forces one processor per application).
+            let s = pf.procs[0].max_speed();
+            let b = pf.uniform_comm(0).expect("uniform links").bandwidth;
+            for factor in [1.0, 1.3, 3.0] {
+                let lb: Vec<f64> = apps
+                    .apps
+                    .iter()
+                    .map(|a| {
+                        factor * (a.total_work() / s + (a.input_of(0) + a.output_of(a.n() - 1)) / b)
+                    })
+                    .collect();
+                let fast = min_period_tri_unimodal(&apps, &pf, CommModel::Overlap, &lb, budget);
+                let th = Thresholds::none().with_latency(lb).with_energy(budget);
+                let brute = exact_optimize(
+                    &apps,
+                    &pf,
+                    ExactConfig {
+                        kind: MappingKind::Interval,
+                        model: CommModel::Overlap,
+                        speed: SpeedPolicy::All,
+                    },
+                    Criterion::Period,
+                    &th,
+                );
+                assert_matches(
+                    fast.map(|s| s.objective),
+                    brute.map(|s| s.objective),
+                    "tri unimodal period",
+                    seed,
+                );
+            }
         }
     }
 }

@@ -109,14 +109,15 @@ proptest! {
         };
         let ctx = HomCtx::new(&apps.apps[0], &speeds, b, CommModel::Overlap);
         let table = period_table(&ctx, pf.p());
-        for w in table.best.windows(2) {
+        for w in table.best_row().windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-9);
         }
         if let Some(m) = random_interval_mapping(&apps, &pf, seed ^ 0x77) {
             // Any mapping at top speeds is no better than the DP optimum.
             let fast = m.at_max_speed(&pf);
             let ev = Evaluator::new(&apps, &pf);
-            prop_assert!(ev.period(&fast, CommModel::Overlap) >= table.best[pf.p() - 1] - 1e-9);
+            let best = table.best_row()[pf.p() - 1];
+            prop_assert!(ev.period(&fast, CommModel::Overlap) >= best - 1e-9);
         }
     }
 
@@ -130,7 +131,7 @@ proptest! {
         let ctx = HomCtx::new(&apps.apps[0], &speeds, 1.0, CommModel::Overlap);
         let mut last = f64::INFINITY;
         for tb in [2.0, 4.0, 8.0, 16.0, 1e9] {
-            let l = latency_under_period(&ctx, tb, 4).best[3];
+            let l = latency_under_period(&ctx, tb, 4).best_row()[3];
             prop_assert!(l <= last + 1e-9, "bound {} gave latency {} after {}", tb, l, last);
             last = l;
         }
