@@ -1,8 +1,10 @@
 //! Exhaustive baselines.
 //!
 //! Every polynomial algorithm in this crate is *certified* against the
-//! enumerators below on thousands of small random instances (see
-//! EXPERIMENTS.md), and the NP-hard cells of Tables 1 and 2 are
+//! enumerators below on thousands of small random instances (the cell
+//! table in `cpo_experiments::tables`, run by `cpo-experiments
+//! table1|table2` and `tests/certification.rs` through the router's
+//! `Plan::ExactEnumeration` arm), and the NP-hard cells of Tables 1 and 2 are
 //! demonstrated by running them on reduction gadgets. The enumeration walks
 //! all valid one-to-one or interval mappings (optionally all mode
 //! selections) with symmetry breaking across interchangeable processors.

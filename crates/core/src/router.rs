@@ -627,10 +627,13 @@ pub fn route_with(
 }
 
 /// Execute an already-selected plan, skipping the re-validation and
-/// re-planning `route_with` would perform. `selected` **must** be the
-/// [`plan`] result for this exact `(apps, platform, spec)` triple —
-/// callers that planned once (e.g. the batch engine's adaptive cutoff)
-/// use this to avoid paying the planner twice per item.
+/// re-planning `route_with` would perform. `selected` **must** be a plan
+/// whose preconditions the `(apps, platform, spec)` triple meets —
+/// usually the [`plan`] result, which callers that planned once (e.g.
+/// the batch engine's adaptive cutoff) pass to avoid paying the planner
+/// twice per item. [`Plan::ExactEnumeration`] meets them for every
+/// non-front spec on a dedicated platform; the certification cells of
+/// Tables 1 and 2 use it as the brute-force side.
 pub fn route_planned(
     apps: &AppSet,
     platform: &Platform,

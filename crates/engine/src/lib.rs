@@ -184,8 +184,9 @@ pub fn panic_details(reason: &str) -> Option<PanicDetails> {
     })
 }
 
-/// Stringify a caught panic payload.
-fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
+/// Stringify a caught panic payload (`&str` or `String`, else
+/// `"unknown panic"`).
+pub fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
     panic
         .downcast_ref::<&str>()
         .map(|s| s.to_string())

@@ -4,7 +4,8 @@
 //!
 //! * `fig1`    — the Section 2 / Figure 1 motivating example numbers;
 //! * `table1`  — empirical certification of the mono-criterion complexity
-//!   table (polynomial cells vs exhaustive search);
+//!   table: one row per polynomial cell of `cpo_experiments::tables`, its
+//!   specs routed and compared with the router's exhaustive enumeration;
 //! * `table2`  — same for the multi-criteria table;
 //! * `gadgets` — NP-hardness reduction fidelity + exact-solver blow-up;
 //! * `scaling` — runtime scaling of every polynomial algorithm;
@@ -41,30 +42,26 @@
 //! committed large-scale spec at one million), and the measured
 //! period/latency/energy must agree with the reported objective.
 //!
-//! Every experiment is seeded; outputs are the markdown rows recorded in
-//! EXPERIMENTS.md.
+//! Every experiment is seeded and prints markdown rows. `fig1`, `table1`,
+//! `table2`, `gadgets` and `all` exit 1 when any row reads `MISMATCH`.
 
-use cpo_core::bi::period_energy::{min_energy_interval_fully_hom, min_energy_one_to_one_matching};
-use cpo_core::bi::period_latency::{
-    min_latency_under_period_fully_hom, min_period_under_latency_fully_hom,
-};
 use cpo_core::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use cpo_core::heuristics::{local_search, LocalSearchConfig};
-use cpo_core::mono::latency::min_latency_interval_comm_hom;
-use cpo_core::mono::period_interval::minimize_global_period;
-use cpo_core::mono::period_one_to_one::min_period_one_to_one_comm_hom;
 use cpo_core::tri::multimodal::{branch_and_bound_tri_counted, tri_feasible};
-use cpo_core::tri::unimodal::min_latency_tri_unimodal;
-use cpo_core::{Criterion, MappingKind};
+use cpo_core::{plan, route, Criterion, MappingKind, Plan};
+use cpo_experiments::serve_cli;
+use cpo_experiments::tables::{self, Cell, Family, Procs};
+use cpo_experiments::trust::{self, check_outcome, close, maybe_corrupt};
 use cpo_model::gadgets::*;
 use cpo_model::generator::*;
 use cpo_model::prelude::*;
-use cpo_experiments::serve_cli;
-use cpo_experiments::trust::{self, check_outcome, close, maybe_corrupt};
 use cpo_simulator::simulate;
+use std::str::FromStr;
 use std::time::Instant;
 
-fn status(ok: bool) -> &'static str {
+/// The status column; a `MISMATCH` also clears `all_ok`.
+fn status(ok: bool, all_ok: &mut bool) -> &'static str {
+    *all_ok &= ok;
     if ok {
         "ok"
     } else {
@@ -72,11 +69,19 @@ fn status(ok: bool) -> &'static str {
     }
 }
 
+/// Exit 1 unless every status row of the section(s) reads `ok`.
+fn exit_unless(ok: bool) {
+    if !ok {
+        std::process::exit(1);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // fig1
 // ---------------------------------------------------------------------------
 
-fn fig1() {
+fn fig1() -> bool {
+    let mut ok = true;
     println!("\n## FIG1 — Section 2 motivating example\n");
     println!("| quantity | paper | measured | simulated | status |");
     println!("|---|---|---|---|---|");
@@ -95,16 +100,16 @@ fn fig1() {
         "| minimum period (Eq. 1) | 1 | {:.3} | {:.3} | {} |",
         t.objective,
         sim_t,
-        status(close(t.objective, 1.0) && close(sim_t, 1.0))
+        status(close(t.objective, 1.0) && close(sim_t, 1.0), &mut ok)
     );
 
-    let l = min_latency_interval_comm_hom(&apps, &pf).unwrap();
+    let l = cpo_core::mono::latency::min_latency_interval_comm_hom(&apps, &pf).unwrap();
     let sim_l = simulate(&apps, &pf, &l.mapping, CommModel::Overlap, 8).latency;
     println!(
         "| minimum latency (Eq. 2) | 2.75 | {:.3} | {:.3} | {} |",
         l.objective,
         sim_l,
-        status(close(l.objective, 2.75) && close(sim_l, 2.75))
+        status(close(l.objective, 2.75) && close(sim_l, 2.75), &mut ok)
     );
 
     let e = exact_optimize(&apps, &pf, cfg_all, Criterion::Energy, &Thresholds::none()).unwrap();
@@ -112,12 +117,12 @@ fn fig1() {
     println!(
         "| minimum energy | 10 | {:.1} | — | {} |",
         e.objective,
-        status(close(e.objective, 10.0))
+        status(close(e.objective, 10.0), &mut ok)
     );
     println!(
         "| period at minimum energy | 14 | {:.3} | — | {} |",
         period_at_e,
-        status(close(period_at_e, 14.0))
+        status(close(period_at_e, 14.0), &mut ok)
     );
 
     let th = Thresholds::uniform_period(2.0, 2);
@@ -125,358 +130,61 @@ fn fig1() {
     println!(
         "| energy under period ≤ 2 | 46 | {:.1} | — | {} |",
         comp.objective,
-        status(close(comp.objective, 46.0))
+        status(close(comp.objective, 46.0), &mut ok)
     );
     let energy_fast = ev.energy(&t.mapping);
     println!(
         "| energy of the period-optimal mapping | 136 | {:.1} | — | {} |",
         energy_fast,
-        status(close(energy_fast, 136.0))
+        status(close(energy_fast, 136.0), &mut ok)
     );
+    ok
 }
 
 // ---------------------------------------------------------------------------
-// table1 / table2 certification harness
+// table1 / table2: the certified cells of `cpo_experiments::tables`
 // ---------------------------------------------------------------------------
 
-struct Cert {
-    agree: usize,
-    total: usize,
-    feasible: usize,
-}
-
-impl Cert {
-    fn row(&self, name: &str, algo: &str) -> String {
-        format!(
+/// One row per cell; true when every row reads `ok`.
+fn cell_rows(cells: &[Cell]) -> bool {
+    let mut ok = true;
+    for cell in cells {
+        let c = cell.certify();
+        println!(
             "| {} | {} | {}/{} optimal (on {} feasible) | {} |",
-            name,
-            algo,
-            self.agree,
-            self.total,
-            self.feasible,
-            status(self.agree == self.total)
-        )
+            cell.label,
+            cell.plan.describe(),
+            c.cases - c.mismatches.len(),
+            c.cases,
+            c.feasible,
+            status(c.ok(), &mut ok)
+        );
     }
+    ok
 }
 
-fn certify(
-    seeds: u64,
-    mut fast: impl FnMut(u64) -> Option<f64>,
-    mut brute: impl FnMut(u64) -> Option<f64>,
-) -> Cert {
-    let mut agree = 0;
-    let mut feasible = 0;
-    for seed in 0..seeds {
-        let f = fast(seed);
-        let b = brute(seed);
-        match (f, b) {
-            (None, None) => agree += 1,
-            (Some(x), Some(y)) => {
-                feasible += 1;
-                if close(x, y) {
-                    agree += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    Cert { agree, total: seeds as usize, feasible }
-}
-
-fn table1() {
+fn table1() -> bool {
     println!("\n## TABLE 1 — mono-criterion complexity, empirical certification\n");
     println!("| cell | algorithm | result | status |");
     println!("|---|---|---|---|");
-    const SEEDS: u64 = 100;
-
-    // Period / one-to-one / com-hom (Theorem 1).
-    let app_cfg = AppGenConfig { apps: 2, stages: (1, 3), ..Default::default() };
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: apps.total_stages() + 1, modes: (1, 2), ..Default::default() },
-                s + 1000,
-            );
-            min_period_one_to_one_comm_hom(&apps, &pf, CommModel::Overlap).map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: apps.total_stages() + 1, modes: (1, 2), ..Default::default() },
-                s + 1000,
-            );
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::OneToOne,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::MaxOnly,
-                },
-                Criterion::Period,
-                &Thresholds::none(),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period / one-to-one / com-hom", "Thm 1: binary search + greedy"));
-
-    // Period / interval / fully-hom (Theorem 3, Algorithm 2).
-    let app_cfg2 = AppGenConfig { apps: 2, stages: (2, 4), ..Default::default() };
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 2), ..Default::default() },
-                s + 2000,
-            );
-            minimize_global_period(&apps, &pf, CommModel::Overlap).map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 2), ..Default::default() },
-                s + 2000,
-            );
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::MaxOnly,
-                },
-                Criterion::Period,
-                &Thresholds::none(),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period / interval / fully-hom", "Thm 3: DP + Algorithm 2"));
+    let ok = cell_rows(&[tables::THM1, tables::THM3]);
     println!("| Period / interval / special-app | NP-complete (Thm 5) | see `gadgets` | ok |");
     println!("| Latency / one-to-one / special-app | NP-complete (Thm 9) | see `gadgets` | ok |");
-
-    // Latency / interval / com-hom (Theorem 12).
-    let app_cfg3 = AppGenConfig { apps: 3, stages: (1, 3), ..Default::default() };
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg3, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 3), ..Default::default() },
-                s + 3000,
-            );
-            min_latency_interval_comm_hom(&apps, &pf).map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg3, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 3), ..Default::default() },
-                s + 3000,
-            );
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::MaxOnly,
-                },
-                Criterion::Latency,
-                &Thresholds::none(),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Latency / interval / com-hom", "Thm 12: greedy on A fastest"));
+    ok & cell_rows(&[tables::THM12])
 }
 
-fn table2() {
+fn table2() -> bool {
     println!("\n## TABLE 2 — multi-criteria complexity, empirical certification\n");
     println!("| cell | algorithm | result | status |");
     println!("|---|---|---|---|");
-    const SEEDS: u64 = 60;
-
-    // Period/Latency (Theorems 15/16).
-    let app_cfg = AppGenConfig { apps: 2, stages: (2, 4), ..Default::default() };
-    let mk = |s: u64| {
-        let apps = random_apps(&app_cfg, s);
-        let pf = random_fully_homogeneous(
-            &PlatformGenConfig { procs: 4, modes: (1, 1), ..Default::default() },
-            s + 4000,
-        );
-        let tb = minimize_global_period(&apps, &pf, CommModel::Overlap)
-            .map(|x| x.objective * 1.5)
-            .unwrap_or(1e9);
-        (apps, pf, tb)
-    };
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let (apps, pf, tb) = mk(s);
-            min_latency_under_period_fully_hom(&apps, &pf, CommModel::Overlap, &vec![tb; apps.a()])
-                .map(|x| x.objective)
-        },
-        |s| {
-            let (apps, pf, tb) = mk(s);
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::MaxOnly,
-                },
-                Criterion::Latency,
-                &Thresholds::none().with_period(vec![tb; apps.a()]),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period/Latency / fully-hom (L min)", "Thm 15/16: DP (L,T)(i,q)"));
-
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let (apps, pf, _) = mk(s);
-            min_period_under_latency_fully_hom(
-                &apps,
-                &pf,
-                CommModel::Overlap,
-                &vec![1e6; apps.a()],
-            )
-            .map(|x| x.objective)
-        },
-        |s| {
-            let (apps, pf, _) = mk(s);
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::MaxOnly,
-                },
-                Criterion::Period,
-                &Thresholds::none().with_latency(vec![1e6; apps.a()]),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period/Latency / fully-hom (T min)", "Thm 15/16: binary search dual"));
-
-    // Period/Energy one-to-one (Theorem 19).
-    let app_cfg2 = AppGenConfig { apps: 2, stages: (1, 3), ..Default::default() };
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: apps.total_stages(), modes: (2, 3), ..Default::default() },
-                s + 5000,
-            );
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 2.0 + 2.0).collect();
-            min_energy_one_to_one_matching(&apps, &pf, CommModel::Overlap, &tb)
-                .map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_comm_homogeneous(
-                &PlatformGenConfig { procs: apps.total_stages(), modes: (2, 3), ..Default::default() },
-                s + 5000,
-            );
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 2.0 + 2.0).collect();
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::OneToOne,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::All,
-                },
-                Criterion::Energy,
-                &Thresholds::none().with_period(tb),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period/Energy / one-to-one / com-hom", "Thm 19: Hungarian matching"));
-
-    // Period/Energy interval (Theorems 18/21).
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (2, 3), ..Default::default() },
-                s + 6000,
-            );
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 3.0 + 2.0).collect();
-            min_energy_interval_fully_hom(&apps, &pf, CommModel::Overlap, &tb).map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (2, 3), ..Default::default() },
-                s + 6000,
-            );
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 3.0 + 2.0).collect();
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::All,
-                },
-                Criterion::Energy,
-                &Thresholds::none().with_period(tb),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Period/Energy / interval / fully-hom", "Thm 18/21: DP + convolution"));
-
-    // Tri-criteria uni-modal (Theorem 24).
-    let cert = certify(
-        SEEDS,
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 1), ..Default::default() },
-                s + 7000,
-            );
-            let e_per = EnergyModel::default().dynamic(pf.procs[0].max_speed());
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() + 5.0).collect();
-            min_latency_tri_unimodal(&apps, &pf, CommModel::Overlap, &tb, 3.0 * e_per + 1e-6)
-                .map(|x| x.objective)
-        },
-        |s| {
-            let apps = random_apps(&app_cfg2, s);
-            let pf = random_fully_homogeneous(
-                &PlatformGenConfig { procs: 4, modes: (1, 1), ..Default::default() },
-                s + 7000,
-            );
-            let e_per = EnergyModel::default().dynamic(pf.procs[0].max_speed());
-            let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() + 5.0).collect();
-            exact_optimize(
-                &apps,
-                &pf,
-                ExactConfig {
-                    kind: MappingKind::Interval,
-                    model: CommModel::Overlap,
-                    speed: SpeedPolicy::All,
-                },
-                Criterion::Latency,
-                &Thresholds::none().with_period(tb).with_energy(3.0 * e_per + 1e-6),
-            )
-            .map(|x| x.objective)
-        },
-    );
-    println!("{}", cert.row("Tri-criteria / uni-modal / fully-hom", "Thm 24: Algorithm 2 + DP"));
+    let mut ok = cell_rows(&[
+        tables::THM16_LATENCY,
+        tables::THM16_PERIOD,
+        tables::THM19,
+        tables::THM18_21,
+        tables::THM24_LATENCY,
+        tables::THM24_PERIOD,
+    ]);
     println!("| Tri-criteria / multi-modal | NP-hard (Thm 26/27) | see `gadgets` | ok |");
 
     // Heuristic quality vs exact branch-and-bound on the Section 2 example
@@ -528,110 +236,82 @@ fn table2() {
         cases,
         greedy_sum / exact_sum,
         ls_sum / exact_sum,
-        status(ls_sum / exact_sum < 1.25)
+        status(ls_sum / exact_sum < 1.25, &mut ok)
     );
+    ok
 }
 
 // ---------------------------------------------------------------------------
 // gadgets
 // ---------------------------------------------------------------------------
 
-fn gadgets() {
+fn gadgets() -> bool {
+    let mut ok = true;
     println!("\n## GADGETS — NP-hardness reductions, run both ways\n");
     println!("| reduction | instances | fidelity | status |");
     println!("|---|---|---|---|");
 
     // Theorem 5 intended-mapping check on factory instances.
-    let mut ok5 = 0;
     const N5: u64 = 20;
-    for seed in 0..N5 {
-        let inst = ThreePartition::yes_instance(3, seed);
-        let g = theorem5_encode(&inst);
-        let triples = inst.solve().expect("yes");
-        let m = theorem5_mapping(&inst, &triples);
-        let t = Evaluator::new(&g.apps, &g.platform).period(&m, CommModel::Overlap);
-        if close(t, 1.0) {
-            ok5 += 1;
-        }
-    }
+    let ok5 = (0..N5)
+        .filter(|&seed| {
+            let inst = ThreePartition::yes_instance(3, seed);
+            let g = theorem5_encode(&inst);
+            let m = theorem5_mapping(&inst, &inst.solve().expect("yes"));
+            close(Evaluator::new(&g.apps, &g.platform).period(&m, CommModel::Overlap), 1.0)
+        })
+        .count();
     println!(
         "| Thm 5 (3-PARTITION → period/interval) | {N5} YES | {ok5}/{N5} reach period 1 | {} |",
-        status(ok5 == N5 as usize)
+        status(ok5 == N5 as usize, &mut ok)
     );
 
     // Theorem 9.
-    let mut ok9 = 0;
-    for seed in 0..N5 {
-        let inst = ThreePartition::yes_instance(3, seed + 100);
-        let g = theorem9_encode(&inst);
-        let m = theorem9_mapping(&inst.solve().expect("yes"));
-        let l = Evaluator::new(&g.apps, &g.platform).latency(&m);
-        if close(l, g.target_latency) {
-            ok9 += 1;
-        }
-    }
+    let ok9 = (0..N5)
+        .filter(|&seed| {
+            let inst = ThreePartition::yes_instance(3, seed + 100);
+            let g = theorem9_encode(&inst);
+            let m = theorem9_mapping(&inst.solve().expect("yes"));
+            close(Evaluator::new(&g.apps, &g.platform).latency(&m), g.target_latency)
+        })
+        .count();
     println!(
         "| Thm 9 (3-PARTITION → latency/one-to-one) | {N5} YES | {ok9}/{N5} reach latency B | {} |",
-        status(ok9 == N5 as usize)
+        status(ok9 == N5 as usize, &mut ok)
     );
 
-    // Theorem 26 fidelity on mixed YES/NO.
-    let mut agree = 0;
-    const N26: u64 = 12;
-    for seed in 0..N26 {
-        let inst = if seed % 2 == 0 {
-            TwoPartition::yes_instance(3, seed)
-        } else {
-            TwoPartition::no_instance(3, seed)
-        };
-        let expected = inst.solve().is_some();
-        let g = theorem26_encode(&inst);
-        let got = tri_feasible(
-            &g.apps,
-            &g.platform,
-            CommModel::Overlap,
-            MappingKind::OneToOne,
-            &[g.target_period],
-            &[g.target_latency],
-            g.target_energy,
+    // Theorems 26/27: tri-criteria feasibility of the gadget must match
+    // 2-PARTITION on mixed YES/NO instances.
+    let thm26: fn(&TwoPartition) -> bool = |inst| {
+        let g = theorem26_encode(inst);
+        let (t, l, e) = ([g.target_period], [g.target_latency], g.target_energy);
+        tri_feasible(&g.apps, &g.platform, CommModel::Overlap, MappingKind::OneToOne, &t, &l, e)
+    };
+    let thm27: fn(&TwoPartition) -> bool = |inst| {
+        let g = theorem27_encode(inst);
+        let (t, l, e) = ([g.target_period], [g.target_latency], g.target_energy);
+        tri_feasible(&g.apps, &g.platform, CommModel::Overlap, MappingKind::Interval, &t, &l, e)
+    };
+    let reductions = [
+        ("Thm 26 (2-PARTITION → tri-criteria)", 3, 12u64, "feasibility agrees", thm26),
+        ("Thm 27 (2-PARTITION → tri-criteria, interval)", 2, 6, "agree", thm27),
+    ];
+    for (label, items, count, agrees, feasible) in reductions {
+        let agree = (0..count)
+            .filter(|&seed| {
+                let inst = if seed % 2 == 0 {
+                    TwoPartition::yes_instance(items, seed)
+                } else {
+                    TwoPartition::no_instance(items, seed)
+                };
+                feasible(&inst) == inst.solve().is_some()
+            })
+            .count();
+        println!(
+            "| {label} | {count} mixed | {agree}/{count} {agrees} | {} |",
+            status(agree == count as usize, &mut ok)
         );
-        if got == expected {
-            agree += 1;
-        }
     }
-    println!(
-        "| Thm 26 (2-PARTITION → tri-criteria) | {N26} mixed | {agree}/{N26} feasibility agrees | {} |",
-        status(agree == N26 as usize)
-    );
-
-    // Theorem 27 (interval variant).
-    let mut agree27 = 0;
-    const N27: u64 = 6;
-    for seed in 0..N27 {
-        let inst = if seed % 2 == 0 {
-            TwoPartition::yes_instance(2, seed)
-        } else {
-            TwoPartition::no_instance(2, seed)
-        };
-        let expected = inst.solve().is_some();
-        let g = theorem27_encode(&inst);
-        let got = tri_feasible(
-            &g.apps,
-            &g.platform,
-            CommModel::Overlap,
-            MappingKind::Interval,
-            &[g.target_period],
-            &[g.target_latency],
-            g.target_energy,
-        );
-        if got == expected {
-            agree27 += 1;
-        }
-    }
-    println!(
-        "| Thm 27 (2-PARTITION → tri-criteria, interval) | {N27} mixed | {agree27}/{N27} agree | {} |",
-        status(agree27 == N27 as usize)
-    );
 
     // Exact-solver blow-up on Theorem 26 gadgets: nodes visited vs n.
     println!("\n### Branch-and-bound blow-up on Theorem 26 gadgets (NP-hardness signature)\n");
@@ -651,6 +331,7 @@ fn gadgets() {
         );
         println!("| {n} | {nodes} | {:?} |", t0.elapsed());
     }
+    ok
 }
 
 // ---------------------------------------------------------------------------
@@ -669,91 +350,90 @@ fn time_it(mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One scaling section: the instance at each size, routed through the
+/// router's front door, which must pick `plan`.
+struct Scaling {
+    title: &'static str,
+    size: &'static str,
+    sizes: [usize; 4],
+    instance: fn(usize) -> (AppSet, Platform),
+    spec: fn(&AppSet) -> ProblemSpec,
+    plan: Plan,
+}
+
+/// `apps` applications of `stages` stages each (seed `seed`) on `procs`
+/// processors with `modes` modes (seed `seed + 1`).
+fn scaling_instance(
+    apps: usize,
+    stages: usize,
+    platform: fn(&PlatformGenConfig, u64) -> Platform,
+    procs: usize,
+    modes: (usize, usize),
+    seed: u64,
+) -> (AppSet, Platform) {
+    let procs = Procs::Fixed(procs);
+    Family { apps, stages: (stages, stages), platform, procs, modes, seed_offset: 1 }.instance(seed)
+}
+
+/// A spec under per-application period bounds `work / div + add`.
+fn energy_under_period(apps: &AppSet, strategy: Strategy, div: f64, add: f64) -> ProblemSpec {
+    let tb = apps.apps.iter().map(|a| a.total_work() / div + add).collect();
+    ProblemSpec::new(Objective::Energy, strategy, CommModel::Overlap).with_period_bounds(tb)
+}
+
 fn scaling() {
     println!("\n## SCALING — runtime of the polynomial algorithms\n");
     println!("(growth = t(size)/t(previous size); the claimed bounds predict");
-    println!("about 4-8x per doubling for the quadratic/cubic algorithms)\n");
-
-    println!("### Theorem 1 (period, one-to-one, com-hom) — O((n·A·p)² log(n·A·p))\n");
-    println!("| N stages (= p) | time (ms) | growth |");
-    println!("|---|---|---|");
-    let mut prev = f64::NAN;
-    for n in [20usize, 40, 80, 160] {
-        let apps = random_apps(
-            &AppGenConfig { apps: 4, stages: (n / 4, n / 4), ..Default::default() },
-            7,
-        );
-        let pf = random_comm_homogeneous(
-            &PlatformGenConfig { procs: n, modes: (1, 3), ..Default::default() },
-            8,
-        );
-        let t = time_it(|| {
-            let _ = min_period_one_to_one_comm_hom(&apps, &pf, CommModel::Overlap);
-        });
-        println!("| {n} | {:.2} | {:.1}x |", t * 1e3, t / prev);
-        prev = t;
-    }
-
-    println!("\n### Theorem 3 (period, interval, fully-hom) — O(n³p²) worst case\n");
-    println!("| n per app (A=4, p=16) | time (ms) | growth |");
-    println!("|---|---|---|");
-    prev = f64::NAN;
-    for n in [8usize, 16, 32, 64] {
-        let apps = random_apps(
-            &AppGenConfig { apps: 4, stages: (n, n), ..Default::default() },
-            9,
-        );
-        let pf = random_fully_homogeneous(
-            &PlatformGenConfig { procs: 16, modes: (1, 2), ..Default::default() },
-            10,
-        );
-        let t = time_it(|| {
-            let _ = minimize_global_period(&apps, &pf, CommModel::Overlap);
-        });
-        println!("| {n} | {:.2} | {:.1}x |", t * 1e3, t / prev);
-        prev = t;
-    }
-
-    println!("\n### Theorem 18/21 (energy DP) — O(A·n³·p²)\n");
-    println!("| n per app (A=2, p=8) | time (ms) | growth |");
-    println!("|---|---|---|");
-    prev = f64::NAN;
-    for n in [8usize, 16, 32, 64] {
-        let apps = random_apps(
-            &AppGenConfig { apps: 2, stages: (n, n), ..Default::default() },
-            11,
-        );
-        let pf = random_fully_homogeneous(
-            &PlatformGenConfig { procs: 8, modes: (3, 3), ..Default::default() },
-            12,
-        );
-        let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 4.0 + 2.0).collect();
-        let t = time_it(|| {
-            let _ = min_energy_interval_fully_hom(&apps, &pf, CommModel::Overlap, &tb);
-        });
-        println!("| {n} | {:.2} | {:.1}x |", t * 1e3, t / prev);
-        prev = t;
-    }
-
-    println!("\n### Theorem 19 (energy matching) — Hungarian-dominated\n");
-    println!("| N stages (= p) | time (ms) | growth |");
-    println!("|---|---|---|");
-    prev = f64::NAN;
-    for n in [16usize, 32, 64, 128] {
-        let apps = random_apps(
-            &AppGenConfig { apps: 4, stages: (n / 4, n / 4), ..Default::default() },
-            13,
-        );
-        let pf = random_comm_homogeneous(
-            &PlatformGenConfig { procs: n, modes: (2, 3), ..Default::default() },
-            14,
-        );
-        let tb: Vec<f64> = apps.apps.iter().map(|a| a.total_work() / 2.0 + 4.0).collect();
-        let t = time_it(|| {
-            let _ = min_energy_one_to_one_matching(&apps, &pf, CommModel::Overlap, &tb);
-        });
-        println!("| {n} | {:.2} | {:.1}x |", t * 1e3, t / prev);
-        prev = t;
+    println!("about 4-8x per doubling for the quadratic/cubic algorithms)");
+    let sections = [
+        Scaling {
+            title: "Theorem 1 (period, one-to-one, com-hom) — O((n·A·p)² log(n·A·p))",
+            size: "N stages (= p)",
+            sizes: [20, 40, 80, 160],
+            instance: |n| scaling_instance(4, n / 4, random_comm_homogeneous, n, (1, 3), 7),
+            spec: |_| ProblemSpec::new(Objective::Period, Strategy::OneToOne, CommModel::Overlap),
+            plan: Plan::PeriodOneToOne,
+        },
+        Scaling {
+            title: "Theorem 3 (period, interval, fully-hom) — O(n³p²) worst case",
+            size: "n per app (A=4, p=16)",
+            sizes: [8, 16, 32, 64],
+            instance: |n| scaling_instance(4, n, random_fully_homogeneous, 16, (1, 2), 9),
+            spec: |_| ProblemSpec::new(Objective::Period, Strategy::Interval, CommModel::Overlap),
+            plan: Plan::PeriodInterval,
+        },
+        Scaling {
+            title: "Theorem 18/21 (energy DP) — O(A·n³·p²)",
+            size: "n per app (A=2, p=8)",
+            sizes: [8, 16, 32, 64],
+            instance: |n| scaling_instance(2, n, random_fully_homogeneous, 8, (3, 3), 11),
+            spec: |apps| energy_under_period(apps, Strategy::Interval, 4.0, 2.0),
+            plan: Plan::EnergyInterval,
+        },
+        Scaling {
+            title: "Theorem 19 (energy matching) — Hungarian-dominated",
+            size: "N stages (= p)",
+            sizes: [16, 32, 64, 128],
+            instance: |n| scaling_instance(4, n / 4, random_comm_homogeneous, n, (2, 3), 13),
+            spec: |apps| energy_under_period(apps, Strategy::OneToOne, 2.0, 4.0),
+            plan: Plan::EnergyMatching,
+        },
+    ];
+    for section in sections {
+        println!("\n### {}\n", section.title);
+        println!("| {} | time (ms) | growth |", section.size);
+        println!("|---|---|---|");
+        let mut prev = f64::NAN;
+        for n in section.sizes {
+            let (apps, pf) = (section.instance)(n);
+            let spec = (section.spec)(&apps);
+            assert_eq!(plan(&apps, &pf, &spec), Ok(section.plan), "{}", section.title);
+            let t = time_it(|| {
+                let _ = route(&apps, &pf, &spec);
+            });
+            println!("| {n} | {:.2} | {:.1}x |", t * 1e3, t / prev);
+            prev = t;
+        }
     }
 }
 
@@ -769,13 +449,14 @@ fn extensions() {
     println!("| p | plain interval period | replicated period | gain |");
     println!("|---|---|---|---|");
     let apps = AppSet::new(vec![
-        cpo_model::application::Application::from_pairs(0.0, &[(8.0, 1.0)]),
-        cpo_model::application::Application::from_pairs(0.0, &[(4.0, 1.0), (4.0, 1.0)]),
+        Application::from_pairs(0.0, &[(8.0, 1.0)]),
+        Application::from_pairs(0.0, &[(4.0, 1.0), (4.0, 1.0)]),
     ])
     .unwrap();
     for p in [2usize, 3, 4, 6, 8] {
         let pf = Platform::fully_homogeneous(p, vec![2.0], 4.0).unwrap();
-        let plain = minimize_global_period(&apps, &pf, CommModel::Overlap).map(|s| s.objective);
+        let plain_spec = ProblemSpec::new(Objective::Period, Strategy::Interval, CommModel::Overlap);
+        let plain = route(&apps, &pf, &plain_spec).objective();
         let repl = cpo_core::replication::minimize_global_period_replicated(
             &apps,
             &pf,
@@ -795,11 +476,12 @@ fn extensions() {
     println!("\n### Replication vs DVFS: energy under a period bound (work-8 stage)\n");
     println!("| period <= | DVFS-only energy | replication+DVFS energy | replicas |");
     println!("|---|---|---|---|");
-    let one = AppSet::single(cpo_model::application::Application::from_pairs(0.0, &[(8.0, 0.0)]));
+    let one = AppSet::single(Application::from_pairs(0.0, &[(8.0, 0.0)]));
     let pf = Platform::fully_homogeneous(8, vec![1.0, 2.0, 4.0, 8.0], 1.0).unwrap();
     for tb in [8.0, 4.0, 2.0, 1.0] {
-        let dvfs =
-            min_energy_interval_fully_hom(&one, &pf, CommModel::Overlap, &[tb]).map(|s| s.objective);
+        let dvfs_spec = ProblemSpec::new(Objective::Energy, Strategy::Interval, CommModel::Overlap)
+            .with_period_bounds(vec![tb]);
+        let dvfs = route(&one, &pf, &dvfs_spec).objective();
         let repl = cpo_core::replication::min_energy_replicated_under_period(
             &one,
             &pf,
@@ -845,12 +527,11 @@ fn extensions() {
     println!("\n### Bounded buffers: measured period vs capacity (receive-bound chain)\n");
     println!("| capacity | measured period | vs paper model |");
     println!("|---|---|---|");
-    let app = cpo_model::application::Application::from_pairs(0.0, &[(1.0, 4.0), (4.0, 0.0)]);
+    let app = Application::from_pairs(0.0, &[(1.0, 4.0), (4.0, 0.0)]);
     let bapps = AppSet::single(app);
     let bpf = Platform::fully_homogeneous(2, vec![1.0], 1.0).unwrap();
-    let mapping = cpo_model::mapping::Mapping::new()
-        .with(cpo_model::mapping::Interval::new(0, 0, 0), 0, 0)
-        .with(cpo_model::mapping::Interval::new(0, 1, 1), 1, 0);
+    let mapping =
+        Mapping::new().with(Interval::new(0, 0, 0), 0, 0).with(Interval::new(0, 1, 1), 1, 0);
     let ideal =
         cpo_simulator::simulate(&bapps, &bpf, &mapping, CommModel::Overlap, 64).period;
     for cap in [1usize, 2, 4, 8] {
@@ -879,10 +560,7 @@ fn robustness() {
     println!("| eps | mean period | worst period | degradation |");
     println!("|---|---|---|---|");
     let (apps, pf) = section2_example();
-    let mapping = cpo_model::mapping::Mapping::new()
-        .with(cpo_model::mapping::Interval::new(0, 0, 2), 2, 1)
-        .with(cpo_model::mapping::Interval::new(1, 0, 1), 1, 1)
-        .with(cpo_model::mapping::Interval::new(1, 2, 3), 0, 1);
+    let mapping = section2_period_optimal();
     for eps in [0.0, 0.05, 0.1, 0.2, 0.4] {
         let rep = cpo_simulator::jitter_analysis(
             &apps,
@@ -911,26 +589,30 @@ fn robustness() {
 // ---------------------------------------------------------------------------
 
 fn pareto() {
-    println!("\n## PARETO — period/energy trade-off staircases\n");
-    let (apps, _) = section2_example();
-    let pf = Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0, 8.0], 1.0).unwrap();
-    println!("### Homogenized Section 2 platform (3 procs, modes {{1,3,6,8}})\n");
-    println!("| period <= | min energy | processors |");
-    println!("|---|---|---|");
-    for pt in cpo_core::pareto::period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval)
-    {
-        println!("| {:.3} | {:.1} | {} |", pt.period, pt.energy, pt.solution.mapping.enrolled());
-    }
-
-    let video = AppSet::single(video_encoding_app(1.0));
-    let farm = Platform::fully_homogeneous(6, vec![0.5, 1.0, 2.0, 4.0], 4.0).unwrap();
-    println!("\n### Video encoding chain on a 6-processor DVFS farm\n");
-    println!("| period <= | min energy | processors |");
-    println!("|---|---|---|");
-    for pt in
-        cpo_core::pareto::period_energy_front(&video, &farm, CommModel::Overlap, MappingKind::Interval)
-    {
-        println!("| {:.3} | {:.2} | {} |", pt.period, pt.energy, pt.solution.mapping.enrolled());
+    println!("\n## PARETO — period/energy trade-off staircases");
+    let fronts = [
+        (
+            "Homogenized Section 2 platform (3 procs, modes {1,3,6,8})",
+            section2_example().0,
+            Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0, 8.0], 1.0).unwrap(),
+            1,
+        ),
+        (
+            "Video encoding chain on a 6-processor DVFS farm",
+            AppSet::single(video_encoding_app(1.0)),
+            Platform::fully_homogeneous(6, vec![0.5, 1.0, 2.0, 4.0], 4.0).unwrap(),
+            2,
+        ),
+    ];
+    for (title, apps, pf, digits) in fronts {
+        println!("\n### {title}\n");
+        println!("| period <= | min energy | processors |");
+        println!("|---|---|---|");
+        let kind = MappingKind::Interval;
+        for pt in cpo_core::pareto::period_energy_front(&apps, &pf, CommModel::Overlap, kind) {
+            let procs = pt.solution.mapping.enrolled();
+            println!("| {:.3} | {:.digits$} | {procs} |", pt.period, pt.energy);
+        }
     }
 }
 
@@ -938,23 +620,27 @@ fn pareto() {
 // dump: archive the Section 2 instance as JSON
 // ---------------------------------------------------------------------------
 
+/// The period-1 mapping of Section 2 (every cycle-time equals 1).
+fn section2_period_optimal() -> Mapping {
+    Mapping::new()
+        .with(Interval::new(0, 0, 2), 2, 1)
+        .with(Interval::new(1, 0, 1), 1, 1)
+        .with(Interval::new(1, 2, 3), 0, 1)
+}
+
 fn dump() {
     let (apps, platform) = section2_example();
-    let period_optimal = cpo_model::mapping::Mapping::new()
-        .with(cpo_model::mapping::Interval::new(0, 0, 2), 2, 1)
-        .with(cpo_model::mapping::Interval::new(1, 0, 1), 1, 1)
-        .with(cpo_model::mapping::Interval::new(1, 2, 3), 0, 1);
-    let compromise = cpo_model::mapping::Mapping::new()
-        .with(cpo_model::mapping::Interval::new(0, 0, 2), 0, 0)
-        .with(cpo_model::mapping::Interval::new(1, 0, 0), 2, 0)
-        .with(cpo_model::mapping::Interval::new(1, 1, 3), 1, 0);
+    let compromise = Mapping::new()
+        .with(Interval::new(0, 0, 2), 0, 0)
+        .with(Interval::new(1, 0, 0), 2, 0)
+        .with(Interval::new(1, 1, 3), 1, 0);
     let inst = cpo_model::io::Instance::new(
         "Section 2 / Figure 1 motivating example of Benoit, Renaud-Goud, Robert (IPDPS 2010)",
         apps,
         platform,
     )
     .with_thresholds(Thresholds::uniform_period(2.0, 2))
-    .with_mapping("period-optimal", period_optimal)
+    .with_mapping("period-optimal", section2_period_optimal())
     .with_mapping("energy-compromise", compromise);
     let json = inst.to_json().expect("serializable");
     // Round-trip check before emitting.
@@ -968,17 +654,19 @@ fn dump() {
 // ---------------------------------------------------------------------------
 
 fn engine_config(threads: Option<usize>) -> cpo_engine::EngineConfig {
-    match threads {
-        Some(n) => cpo_engine::EngineConfig::with_threads(n),
-        None => cpo_engine::EngineConfig::default(),
-    }
+    threads.map_or_else(Default::default, cpo_engine::EngineConfig::with_threads)
+}
+
+/// The file's text, or exit 2.
+fn read_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read `{path}`: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn cmd_solve(path: &str, check: bool, threads: Option<usize>, datasets: usize) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
+    let text = read_or_exit(path);
     let req = SolveRequest::from_json(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse `{path}`: {e}");
         std::process::exit(2);
@@ -1064,10 +752,7 @@ fn export_on_mismatch(
 }
 
 fn cmd_batch(path: &str, check: bool, threads: Option<usize>, datasets: usize) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
+    let text = read_or_exit(path);
     // A malformed line becomes that line's unsupported outcome — it never
     // aborts the rest of the batch.
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -1124,10 +809,7 @@ fn cmd_batch(path: &str, check: bool, threads: Option<usize>, datasets: usize) {
 }
 
 fn cmd_replay(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
+    let text = read_or_exit(path);
     let bundle = ReproBundle::from_json(&text).unwrap_or_else(|e| {
         eprintln!("cannot parse bundle `{path}`: {e}");
         std::process::exit(2);
@@ -1201,49 +883,36 @@ fn example_request() -> SolveRequest {
 fn example_batch() -> Vec<SolveRequest> {
     let (apps, _) = section2_example();
     let platform = Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0, 8.0], 1.0).unwrap();
-    let mut reqs = Vec::new();
-    for tb in [1.5, 2.0, 3.0, 6.0] {
-        reqs.push(SolveRequest::new(
-            format!("energy under period <= {tb}"),
-            apps.clone(),
-            platform.clone(),
-            ProblemSpec::new(Objective::Energy, Strategy::Interval, CommModel::Overlap)
-                .with_period_bounds(vec![tb, tb]),
-        ));
-    }
-    reqs.push(SolveRequest::new(
-        "minimum period (interval)",
-        apps.clone(),
-        platform.clone(),
-        ProblemSpec::new(Objective::Period, Strategy::Interval, CommModel::Overlap),
-    ));
-    reqs.push(SolveRequest::new(
-        "minimum period with replication",
-        apps.clone(),
-        platform.clone(),
-        ProblemSpec::new(Objective::Period, Strategy::Replicated, CommModel::Overlap),
-    ));
-    reqs.push(SolveRequest::new(
-        "latency under an unachievable period bound (infeasible)",
-        apps.clone(),
-        platform.clone(),
-        ProblemSpec::new(Objective::Latency, Strategy::Interval, CommModel::Overlap)
-            .with_period_bounds(vec![0.01, 0.01]),
-    ));
-    reqs.push(SolveRequest::new(
-        "energy for a general mapping (unsupported)",
-        apps.clone(),
-        platform.clone(),
-        ProblemSpec::new(Objective::Energy, Strategy::General, CommModel::Overlap)
-            .with_period_bounds(vec![2.0, 2.0]),
-    ));
-    reqs.push(SolveRequest::new(
-        "period/latency front (no-overlap model)",
-        apps,
-        platform,
-        ProblemSpec::new(Objective::PeriodLatencyFront, Strategy::Interval, CommModel::NoOverlap),
-    ));
-    reqs
+    let spec = |objective, strategy| ProblemSpec::new(objective, strategy, CommModel::Overlap);
+    let energy = spec(Objective::Energy, Strategy::Interval);
+    let mut specs: Vec<(String, ProblemSpec)> = [1.5, 2.0, 3.0, 6.0]
+        .map(|tb| {
+            let spec = energy.clone().with_period_bounds(vec![tb, tb]);
+            (format!("energy under period <= {tb}"), spec)
+        })
+        .into();
+    specs.extend([
+        ("minimum period (interval)", spec(Objective::Period, Strategy::Interval)),
+        ("minimum period with replication", spec(Objective::Period, Strategy::Replicated)),
+        (
+            "latency under an unachievable period bound (infeasible)",
+            spec(Objective::Latency, Strategy::Interval).with_period_bounds(vec![0.01, 0.01]),
+        ),
+        (
+            "energy for a general mapping (unsupported)",
+            spec(Objective::Energy, Strategy::General).with_period_bounds(vec![2.0, 2.0]),
+        ),
+        (
+            "period/latency front (no-overlap model)",
+            ProblemSpec {
+                comm: CommModel::NoOverlap,
+                ..spec(Objective::PeriodLatencyFront, Strategy::Interval)
+            },
+        ),
+    ]
+    .map(|(description, spec)| (description.to_string(), spec)));
+    let request = |(text, spec)| SolveRequest::new(text, apps.clone(), platform.clone(), spec);
+    specs.into_iter().map(request).collect()
 }
 
 /// The committed large-scale request: a wide random instance whose
@@ -1295,23 +964,29 @@ fn spec_example(which: Option<&str>) {
                 println!("{}", req.to_json_compact().expect("serializable"));
             }
         }
-        Some("large") => {
-            let req = example_large();
+        other => {
+            let req = match other {
+                Some("large") => example_large(),
+                Some("benes") => example_benes(),
+                _ => example_request(),
+            };
             let json = req.to_json().expect("serializable");
             assert_eq!(SolveRequest::from_json(&json).expect("round-trips"), req);
             println!("{json}");
         }
-        Some("benes") => {
-            let req = example_benes();
-            let json = req.to_json().expect("serializable");
-            assert_eq!(SolveRequest::from_json(&json).expect("round-trips"), req);
-            println!("{json}");
-        }
+    }
+}
+
+/// The value after the flag `name`, when the flag is given. Exits 2 with
+/// "`name` needs `what`" when the value is missing, does not parse or
+/// fails `valid`.
+fn flag<T: FromStr>(args: &[String], name: &str, what: &str, valid: fn(&T) -> bool) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1).and_then(|v| v.parse::<T>().ok()) {
+        Some(v) if valid(&v) => Some(v),
         _ => {
-            let req = example_request();
-            let json = req.to_json().expect("serializable");
-            assert_eq!(SolveRequest::from_json(&json).expect("round-trips"), req);
-            println!("{json}");
+            eprintln!("{name} needs {what}");
+            std::process::exit(2);
         }
     }
 }
@@ -1320,77 +995,45 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let check = args.iter().any(|a| a == "--check");
-    let threads = args.iter().position(|a| a == "--threads").map(|i| {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => {
-                eprintln!("--threads needs a positive integer value");
-                std::process::exit(2);
-            }
-        }
-    });
-    let datasets = match args.iter().position(|a| a == "--datasets") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            // A single data set has no inter-completion gap: the measured
-            // period would be NaN and every --check would spuriously fail.
-            Some(n) if n >= 2 => n,
-            _ => {
-                eprintln!("--datasets needs an integer value of at least 2");
-                std::process::exit(2);
-            }
-        },
-        None => 64,
+    let threads = flag(&args, "--threads", "a positive integer value", |&n: &usize| n > 0);
+    // A single data set has no inter-completion gap: the measured period
+    // would be NaN and every --check would spuriously fail.
+    let datasets =
+        flag(&args, "--datasets", "an integer value of at least 2", |&n: &usize| n >= 2)
+            .unwrap_or(64);
+    let file = args.get(1).filter(|a| !a.starts_with("--"));
+    let file_or_usage = |usage: &str| -> String {
+        file.cloned().unwrap_or_else(|| {
+            eprintln!("usage: cpo-experiments {usage}");
+            std::process::exit(2);
+        })
     };
-    let file = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-    let u64_flag = |flag: &str, default: u64| -> u64 {
-        match args.iter().position(|a| a == flag) {
-            Some(i) => match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => n,
-                None => {
-                    eprintln!("{flag} needs a non-negative integer value");
-                    std::process::exit(2);
-                }
-            },
-            None => default,
-        }
+    let u64_flag = |name: &str, default: u64| {
+        flag(&args, name, "a non-negative integer value", |_: &u64| true).unwrap_or(default)
     };
     match cmd {
-        "fig1" => fig1(),
-        "table1" => table1(),
-        "table2" => table2(),
-        "gadgets" => gadgets(),
+        "fig1" => exit_unless(fig1()),
+        "table1" => exit_unless(table1()),
+        "table2" => exit_unless(table2()),
+        "gadgets" => exit_unless(gadgets()),
         "scaling" => scaling(),
         "pareto" => pareto(),
         "extensions" => extensions(),
         "robustness" => robustness(),
         "dump" => dump(),
-        "solve" => match file {
-            Some(f) => cmd_solve(&f, check, threads, datasets),
-            None => {
-                eprintln!(
-                    "usage: cpo-experiments solve <spec.json> [--check] [--threads N] \
-                     [--datasets N]"
-                );
-                std::process::exit(2);
-            }
-        },
-        "batch" => match file {
-            Some(f) => cmd_batch(&f, check, threads, datasets),
-            None => {
-                eprintln!(
-                    "usage: cpo-experiments batch <specs.jsonl> [--check] [--threads N] \
-                     [--datasets N]"
-                );
-                std::process::exit(2);
-            }
-        },
-        "replay" => match file {
-            Some(f) => cmd_replay(&f),
-            None => {
-                eprintln!("usage: cpo-experiments replay <bundle.json>");
-                std::process::exit(2);
-            }
-        },
+        "solve" => cmd_solve(
+            &file_or_usage("solve <spec.json> [--check] [--threads N] [--datasets N]"),
+            check,
+            threads,
+            datasets,
+        ),
+        "batch" => cmd_batch(
+            &file_or_usage("batch <specs.jsonl> [--check] [--threads N] [--datasets N]"),
+            check,
+            threads,
+            datasets,
+        ),
+        "replay" => cmd_replay(&file_or_usage("replay <bundle.json>")),
         "fuzz" => {
             let seconds = u64_flag("--seconds", 10);
             let seed = u64_flag("--seed", 0xC0FFEE);
@@ -1400,17 +1043,8 @@ fn main() {
             let str_flag = |flag: &str| -> Option<String> {
                 args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
             };
-            let f64_flag = |flag: &str, default: f64| -> f64 {
-                match args.iter().position(|a| a == flag) {
-                    Some(i) => match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                        Some(x) if x >= 0.0 => x,
-                        _ => {
-                            eprintln!("{flag} needs a non-negative number");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => default,
-                }
+            let f64_flag = |name: &str, default: f64| {
+                flag(&args, name, "a non-negative number", |&x: &f64| x >= 0.0).unwrap_or(default)
             };
             let defaults = serve_cli::ServeCliOptions::default();
             let opts = serve_cli::ServeCliOptions {
@@ -1431,14 +1065,12 @@ fn main() {
         }
         "spec-example" => spec_example(args.get(1).map(String::as_str)),
         "all" => {
-            fig1();
-            table1();
-            table2();
-            gadgets();
+            let ok = fig1() & table1() & table2() & gadgets();
             scaling();
             pareto();
             extensions();
             robustness();
+            exit_unless(ok);
         }
         other => {
             eprintln!("unknown subcommand `{other}`");

@@ -194,11 +194,9 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
             return 2;
         }
     };
-    let engine = match opts.threads {
-        // Serve workers own the parallelism; the engine solves one
-        // request per worker call.
-        Some(_) | None => cpo_engine::EngineConfig { threads: 1, ..Default::default() },
-    };
+    // Serve workers own the parallelism; the engine solves one request
+    // per worker call.
+    let engine = cpo_engine::EngineConfig { threads: 1, ..Default::default() };
     let cfg = ServeConfig {
         threads: opts.threads.unwrap_or(0),
         queue_capacity: opts.queue,

@@ -16,7 +16,7 @@
 //! or fuzz findings), `2` usage/parse errors.
 
 use cpo_core::router::{plan, route_planned, route_with, RouterScratch};
-use cpo_engine::{Engine, EngineConfig};
+use cpo_engine::{panic_payload, Engine, EngineConfig};
 use cpo_model::bundle::{
     BundleSource, EngineSnapshot, FailureContext, FailureKind, GenRecipe, Obs, PathObservation,
     PlatformKind, ReproBundle,
@@ -30,9 +30,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Environment variable that injects a deliberate solver corruption
-/// (+1.0 on every routed `Solution` objective). Test-only: it exists so
-/// the injected-divergence drill can prove the mismatch → bundle →
-/// replay loop end-to-end without patching the solvers.
+/// (+1.0 on every routed `Solution` objective, in `solve`, `batch` and
+/// the fast side of the certified table cells). Test-only: it exists so
+/// the drills can prove that a wrong answer fails loudly (mismatch →
+/// bundle → replay, or a `MISMATCH` row and exit 1) without patching the
+/// solvers.
 pub const CORRUPT_ENV: &str = "CPO_TRUST_CORRUPT";
 
 /// Environment variable overriding where bundles are written
@@ -63,14 +65,6 @@ pub fn maybe_corrupt(out: SolveOutcome) -> SolveOutcome {
         }
         other => other,
     }
-}
-
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
 }
 
 /// Snapshot an engine configuration into a bundle.
@@ -131,7 +125,7 @@ pub fn check_outcome(req: &SolveRequest, out: &SolveOutcome, datasets: usize) ->
             return Err(format!("{what}: solution violates the spec constraints"));
         }
         let sim = catch_unwind(AssertUnwindSafe(|| simulate(apps, pf, mapping, comm, datasets)))
-            .map_err(|p| format!("{what}: simulator panicked: {}", panic_text(&*p)))?;
+            .map_err(|p| format!("{what}: simulator panicked: {}", panic_payload(&*p)))?;
         for &(criterion, objective) in expected {
             if !objective.is_finite() {
                 return Err(format!("{what}: non-finite reported {}", criterion.name()));
@@ -255,7 +249,7 @@ fn run_solver_path(
                 path: name.into(),
                 digest: String::new(),
                 values: Vec::new(),
-                summary: format!("panicked: {}", panic_text(&*p)),
+                summary: format!("panicked: {}", panic_payload(&*p)),
             },
             None,
         ),
@@ -284,7 +278,7 @@ fn observe_sim(name: &str, sim: Result<SimReport, String>) -> PathObservation {
 }
 
 fn guard_sim(f: impl FnOnce() -> SimReport) -> Result<SimReport, String> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_text(&*p))
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_payload(&*p))
 }
 
 /// Execute every applicable path for `req` and compare them bitwise:
@@ -433,7 +427,7 @@ pub fn run_paths(req: &SolveRequest, cfg: &EngineConfig, datasets: usize) -> Pat
                         }
                     }
                 }
-                Err(p) => divergences.push(format!("evaluator panicked: {}", panic_text(&*p))),
+                Err(p) => divergences.push(format!("evaluator panicked: {}", panic_payload(&*p))),
             }
         }
     }

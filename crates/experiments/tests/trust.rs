@@ -174,6 +174,19 @@ fn corrupted_solver_exports_a_bundle_that_replays_bit_for_bit() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("NOT REPRODUCED"));
 }
 
+#[test]
+fn corrupted_table_rows_exit_1() {
+    let out = bin().arg("table1").env_remove("CPO_TRUST_CORRUPT").output().expect("table1 runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(!stdout.contains("MISMATCH"), "stdout: {stdout}");
+
+    let out = bin().arg("table1").env("CPO_TRUST_CORRUPT", "1").output().expect("table1 runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(stdout.contains("| MISMATCH |"), "stdout: {stdout}");
+}
+
 // ---------------------------------------------------------------------------
 // the poison-spec batch (subprocess: needs CPO_BUNDLE_DIR)
 // ---------------------------------------------------------------------------

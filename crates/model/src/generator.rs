@@ -2,8 +2,9 @@
 //!
 //! The paper's evaluation is analytical; to *certify* its complexity tables
 //! empirically we need reproducible synthetic instances. Everything here is
-//! seeded (`rand::rngs::StdRng`), so every experiment in EXPERIMENTS.md can
-//! be regenerated bit-for-bit.
+//! seeded (`rand::rngs::StdRng`), so every certified cell of Tables 1 and 2
+//! (the cell table in `cpo_experiments::tables`, printed by
+//! `cpo-experiments table1|table2`) can be regenerated bit-for-bit.
 //!
 //! Besides uniform random instances, the module ships the Section 2
 //! motivating example ([`section2_example`]) and named realistic workloads

@@ -684,6 +684,42 @@ pub mod json_value {
                 _ => Err(Error(format!("unexpected character at byte {}", self.pos))),
             }
         }
+
+        /// The code unit spelled by exactly four hex digits at `at` (no
+        /// sign, unlike `u32::from_str_radix`).
+        fn hex4(&self, at: usize) -> Result<u32, Error> {
+            let digits = match self.bytes.get(at..at + 4) {
+                // The closing quote must still follow.
+                Some(d) if at + 4 < self.bytes.len() => d,
+                _ => return Err(Error("truncated \\u escape".into())),
+            };
+            digits.iter().try_fold(0, |code, &b| {
+                let digit = (b as char)
+                    .to_digit(16)
+                    .ok_or_else(|| Error("invalid \\u escape: expected four hex digits".into()))?;
+                Ok(code * 16 + digit)
+            })
+        }
+
+        /// The char spelled by the `\u` escape whose `u` is at `self.pos`,
+        /// leaving `self.pos` on its last hex digit. A high surrogate
+        /// followed by a low one is a UTF-16 pair: `\uD83D\uDE00` is one
+        /// char, U+1F600; a lone surrogate is an error.
+        fn unicode_escape(&mut self) -> Result<char, Error> {
+            let mut code = self.hex4(self.pos + 1)?;
+            self.pos += 4;
+            if (0xD800..0xDC00).contains(&code)
+                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+            {
+                let low = self.hex4(self.pos + 3)?;
+                if (0xDC00..0xE000).contains(&low) {
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    self.pos += 6;
+                }
+            }
+            char::from_u32(code).ok_or_else(|| Error("invalid \\u escape (lone surrogate)".into()))
+        }
+
         fn string(&mut self) -> Result<String, Error> {
             self.expect(b'"')?;
             let mut out = String::new();
@@ -703,21 +739,7 @@ pub mod json_value {
                             Some(b'n') => out.push('\n'),
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                if self.pos + 4 >= self.bytes.len() {
-                                    return Err(Error("truncated \\u escape".into()));
-                                }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .map_err(|e| Error(e.to_string()))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|e| Error(e.to_string()))?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| Error("invalid \\u escape".into()))?,
-                                );
-                                self.pos += 4;
-                            }
+                            Some(b'u') => out.push(self.unicode_escape()?),
                             other => {
                                 return Err(Error(format!("invalid escape {other:?}")));
                             }
@@ -944,6 +966,23 @@ mod tests {
         let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
         assert!(parse(&objects).unwrap_err().0.contains("nesting deeper than"));
         assert!(parse(&"[".repeat(100_000)).is_err());
+        // `\u` takes exactly four hex digits (no sign); lone surrogates are
+        // typed errors.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u12""#,
+            r#""\u12"#,
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]
@@ -978,5 +1017,10 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         let v = parse(r#""Aé""#).unwrap();
         assert_eq!(v, Value::Str("Aé".into()));
+        let v = parse(r#""A\u00e9""#).unwrap();
+        assert_eq!(v, Value::Str("Aé".into()));
+        // A UTF-16 surrogate pair decodes to one char.
+        let v = parse(r#""\ud83d\ude00 \uD83D\uDE00""#).unwrap();
+        assert_eq!(v, Value::Str("😀 😀".into()));
     }
 }

@@ -39,7 +39,7 @@ pub mod tenant;
 
 use chaos::{ChaosAction, ChaosConfig};
 use cpo_core::router::{plan, RouterScratch};
-use cpo_engine::{CacheKey, Engine, EngineConfig};
+use cpo_engine::{panic_payload, CacheKey, Engine, EngineConfig};
 use cpo_model::bundle::FailureKind;
 use cpo_model::hash::{hash_instance, hash_spec};
 use cpo_model::io::serde_json_error;
@@ -503,7 +503,7 @@ fn worker_loop(inner: &Inner) {
             Ok(v) => v,
             Err(panic) => {
                 scratch = RouterScratch::new();
-                let reason = format!("worker panicked: {}", panic_text(&*panic));
+                let reason = format!("worker panicked: {}", panic_payload(&*panic));
                 inner.register_failure(&entry.req, key, FailureKind::EnginePanic, &reason);
                 (ServeOutcome::Failed { reason }, false)
             }
@@ -652,14 +652,6 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
     }
 
     (ServeOutcome::Done { result }, downgraded)
-}
-
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
 }
 
 #[cfg(test)]
