@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cpo_core::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use cpo_core::mono::latency::min_latency_interval_comm_hom;
-use cpo_core::tri::multimodal::branch_and_bound_tri;
+use cpo_core::tri::multimodal::branch_and_bound_tri_counted;
 use cpo_core::{Criterion as Crit, MappingKind};
 use cpo_model::generator::section2_example;
 use cpo_model::prelude::*;
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("energy_under_period2_bnb", |b| {
         b.iter(|| {
-            branch_and_bound_tri(
+            branch_and_bound_tri_counted(
                 black_box(&apps),
                 &pf,
                 CommModel::Overlap,
@@ -44,6 +44,7 @@ fn bench(c: &mut Criterion) {
                 &[2.0, 2.0],
                 &[f64::INFINITY, f64::INFINITY],
             )
+            .0
         })
     });
 

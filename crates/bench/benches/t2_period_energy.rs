@@ -10,8 +10,9 @@ use cpo_bench::{comm_hom_instance, fully_hom_instance, workable_period_bounds};
 use cpo_core::bi::period_energy::{
     min_energy_interval_fully_hom, min_energy_one_to_one_matching,
 };
-use cpo_core::pareto::{period_candidates, period_energy_front, ParetoPoint};
+use cpo_core::pareto::{period_candidates, period_energy_front};
 use cpo_core::solution::MappingKind;
+use cpo_core::sweep::{FrontPoint, Sweep};
 use cpo_model::num;
 use cpo_model::prelude::*;
 use std::hint::black_box;
@@ -25,9 +26,9 @@ fn naive_front(
     platform: &Platform,
     model: CommModel,
     kind: MappingKind,
-) -> Vec<ParetoPoint> {
+) -> Vec<FrontPoint> {
     let candidates = period_candidates(apps, platform, model, kind);
-    let mut points: Vec<ParetoPoint> = Vec::new();
+    let mut points: Vec<FrontPoint> = Vec::new();
     for t in candidates {
         let bounds: Vec<f64> = apps.apps.iter().map(|a| t / a.weight).collect();
         let sol = match kind {
@@ -37,10 +38,10 @@ fn naive_front(
             }
         };
         if let Some(sol) = sol {
-            let achieved_t = Evaluator::new(apps, platform).period(&sol.mapping, model);
-            let energy = sol.objective;
-            if points.last().is_none_or(|last| num::lt(energy, last.energy)) {
-                points.push(ParetoPoint { period: achieved_t, energy, solution: sol });
+            let achieved = Evaluator::new(apps, platform).period(&sol.mapping, model);
+            let objective = sol.objective;
+            if points.last().is_none_or(|last| num::lt(objective, last.objective)) {
+                points.push(FrontPoint { achieved, objective, solution: sol });
             }
         }
     }
@@ -87,7 +88,8 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("front_interval_sweep/n64", |b| {
         b.iter(|| {
-            period_energy_front(black_box(&apps), &pf, CommModel::Overlap, MappingKind::Interval)
+            let sweep = Sweep::default();
+            period_energy_front(black_box(&apps), &pf, CommModel::Overlap, MappingKind::Interval, &sweep)
         })
     });
 
@@ -103,6 +105,7 @@ fn bench(c: &mut Criterion) {
                     &pf,
                     CommModel::Overlap,
                     MappingKind::Interval,
+                    &Sweep::default(),
                 )
             })
         });
@@ -117,7 +120,8 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("front_matching_sweep/n16", |b| {
         b.iter(|| {
-            period_energy_front(black_box(&apps), &pf, CommModel::Overlap, MappingKind::OneToOne)
+            let sweep = Sweep::default();
+            period_energy_front(black_box(&apps), &pf, CommModel::Overlap, MappingKind::OneToOne, &sweep)
         })
     });
     g.finish();

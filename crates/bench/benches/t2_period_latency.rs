@@ -10,6 +10,7 @@ use cpo_core::bi::period_latency::{
 };
 use cpo_core::mono::period_interval::minimize_global_period;
 use cpo_core::pareto::period_latency_front;
+use cpo_core::sweep::Sweep;
 use cpo_model::prelude::*;
 use std::hint::black_box;
 
@@ -82,7 +83,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("front_sweep/n32", |b| {
-        b.iter(|| period_latency_front(black_box(&apps), &pf, CommModel::Overlap))
+        b.iter(|| period_latency_front(black_box(&apps), &pf, CommModel::Overlap, &Sweep::default()))
     });
     g.finish();
 }

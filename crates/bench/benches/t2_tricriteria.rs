@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cpo_bench::fully_hom_instance;
 use cpo_core::heuristics::{local_search, LocalSearchConfig};
-use cpo_core::tri::multimodal::branch_and_bound_tri;
+use cpo_core::tri::multimodal::branch_and_bound_tri_counted;
 use cpo_core::tri::unimodal::min_latency_tri_unimodal;
 use cpo_core::MappingKind;
 use cpo_model::gadgets::{theorem26_encode, TwoPartition};
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
         let gadget = theorem26_encode(&inst);
         g.bench_with_input(BenchmarkId::new("bnb_gadget_items", n), &n, |b, _| {
             b.iter(|| {
-                branch_and_bound_tri(
+                branch_and_bound_tri_counted(
                     black_box(&gadget.apps),
                     &gadget.platform,
                     CommModel::Overlap,
@@ -52,6 +52,7 @@ fn bench(c: &mut Criterion) {
                     &[gadget.target_period],
                     &[gadget.target_latency],
                 )
+                .0
             })
         });
     }

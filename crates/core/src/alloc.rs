@@ -62,57 +62,57 @@ pub fn allocate_processors(
     Some(Allocation { procs, objective })
 }
 
-/// Exhaustive baseline over all processor distributions (compositions of at
-/// most `p` into `a_count` positive parts); used by tests to certify
-/// Algorithm 2's optimality.
-pub fn allocate_exhaustive(
-    a_count: usize,
-    p: usize,
-    weights: &[f64],
-    mut f: impl FnMut(usize, usize) -> f64,
-) -> Option<Allocation> {
-    if a_count == 0 || p < a_count {
-        return None;
-    }
-    // Memoize f since compositions revisit the same (a, q).
-    let mut cache = vec![vec![f64::NAN; p + 1]; a_count];
-    let mut eval = move |a: usize, q: usize, cache: &mut Vec<Vec<f64>>| -> f64 {
-        if cache[a][q].is_nan() {
-            cache[a][q] = f(a, q);
-        }
-        cache[a][q]
-    };
-    let mut best: Option<Allocation> = None;
-    let mut current = vec![1_usize; a_count];
-    loop {
-        let used: usize = current.iter().sum();
-        if used <= p {
-            let objective = (0..a_count)
-                .map(|a| weights[a] * eval(a, current[a], &mut cache))
-                .fold(0.0, num::fmax);
-            if best.as_ref().is_none_or(|b| objective < b.objective) {
-                best = Some(Allocation { procs: current.clone(), objective });
-            }
-        }
-        // Next composition with parts in [1, p].
-        let mut i = 0;
-        loop {
-            if i == a_count {
-                return best;
-            }
-            current[i] += 1;
-            if current.iter().sum::<usize>() <= p {
-                break;
-            }
-            current[i] = 1;
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exhaustive baseline over all processor distributions (compositions of at
+    /// most `p` into `a_count` positive parts); used by tests to certify
+    /// Algorithm 2's optimality.
+    fn allocate_exhaustive(
+        a_count: usize,
+        p: usize,
+        weights: &[f64],
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Option<Allocation> {
+        if a_count == 0 || p < a_count {
+            return None;
+        }
+        // Memoize f since compositions revisit the same (a, q).
+        let mut cache = vec![vec![f64::NAN; p + 1]; a_count];
+        let mut eval = move |a: usize, q: usize, cache: &mut Vec<Vec<f64>>| -> f64 {
+            if cache[a][q].is_nan() {
+                cache[a][q] = f(a, q);
+            }
+            cache[a][q]
+        };
+        let mut best: Option<Allocation> = None;
+        let mut current = vec![1_usize; a_count];
+        loop {
+            let used: usize = current.iter().sum();
+            if used <= p {
+                let objective = (0..a_count)
+                    .map(|a| weights[a] * eval(a, current[a], &mut cache))
+                    .fold(0.0, num::fmax);
+                if best.as_ref().is_none_or(|b| objective < b.objective) {
+                    best = Some(Allocation { procs: current.clone(), objective });
+                }
+            }
+            // Next composition with parts in [1, p].
+            let mut i = 0;
+            loop {
+                if i == a_count {
+                    return best;
+                }
+                current[i] += 1;
+                if current.iter().sum::<usize>() <= p {
+                    break;
+                }
+                current[i] = 1;
+                i += 1;
+            }
+        }
+    }
 
     /// A family of non-increasing step functions for testing.
     fn step(a: usize, q: usize) -> f64 {

@@ -9,17 +9,6 @@ use crate::dp::{HomCtx, IntervalCostTable};
 use cpo_model::platform::{Platform, PlatformClass};
 use cpo_model::prelude::*;
 
-/// Shared speed set of a fully homogeneous platform; `None` when the
-/// platform class is wrong (the interval solvers of Theorems 15/16/18/21
-/// only apply to fully homogeneous platforms). The per-application
-/// communication structure comes from [`Platform::uniform_comm`].
-pub(crate) fn fully_hom_params(platform: &Platform) -> Option<Vec<f64>> {
-    if platform.class() != PlatformClass::FullyHomogeneous {
-        return None;
-    }
-    Some(platform.procs[0].speeds().to_vec())
-}
-
 /// Build one [`IntervalCostTable`] per application for a fully homogeneous
 /// platform — the shared precomputation behind the Theorem 15/18/21 interval
 /// solvers and every Pareto sweep over them. Returns `None` when the
@@ -29,7 +18,7 @@ pub fn interval_cost_tables(
     platform: &Platform,
     model: CommModel,
 ) -> Option<Vec<IntervalCostTable>> {
-    cost_tables(apps, platform, model, IntervalCostTable::build)
+    cost_tables(apps, platform, model, |_, ctx| IntervalCostTable::build(ctx))
 }
 
 /// [`interval_cost_tables`] with each table built by [`energy_cost_table`]:
@@ -39,7 +28,7 @@ pub(crate) fn energy_cost_tables(
     platform: &Platform,
     model: CommModel,
 ) -> Option<Vec<IntervalCostTable>> {
-    cost_tables(apps, platform, model, energy_cost_table)
+    cost_tables(apps, platform, model, |_, ctx| energy_cost_table(ctx))
 }
 
 /// The cost table a one-shot [`crate::dp::energy_dp`] needs. Under the
@@ -56,25 +45,28 @@ pub(crate) fn energy_cost_table(ctx: &HomCtx<'_>) -> IntervalCostTable {
     }
 }
 
-fn cost_tables(
+/// The per-application setup of every fully homogeneous solver: check the
+/// platform class and `p ≥ A`, then build `build(a, ctx)` for each
+/// application `a` over its [`HomCtx`] — the shared speed set and static
+/// energy, and the communication structure of [`Platform::uniform_comm`].
+/// `None` when the platform is not fully homogeneous or `p < A`.
+pub(crate) fn cost_tables<T>(
     apps: &AppSet,
     platform: &Platform,
     model: CommModel,
-    build: fn(&HomCtx<'_>) -> IntervalCostTable,
-) -> Option<Vec<IntervalCostTable>> {
-    let speeds = fully_hom_params(platform)?;
-    if platform.p() < apps.a() {
+    mut build: impl FnMut(usize, &HomCtx<'_>) -> T,
+) -> Option<Vec<T>> {
+    if platform.class() != PlatformClass::FullyHomogeneous || platform.p() < apps.a() {
         return None;
     }
-    let e_stat = platform.procs[0].e_stat;
+    let proc = &platform.procs[0];
     apps.apps
         .iter()
         .enumerate()
         .map(|(a, app)| {
-            let comm = platform.uniform_comm(a)?;
-            let mut ctx = HomCtx::with_comm(app, &speeds, comm, model);
-            ctx.e_stat = e_stat;
-            Some(build(&ctx))
+            let mut ctx = HomCtx::with_comm(app, proc.speeds(), platform.uniform_comm(a)?, model);
+            ctx.e_stat = proc.e_stat;
+            Some(build(a, &ctx))
         })
         .collect()
 }

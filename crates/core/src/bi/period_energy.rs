@@ -56,9 +56,6 @@ impl StageCostTable {
     /// (NP-hard then, Theorem 20) or `p < N` (no one-to-one mapping
     /// exists).
     pub fn build(apps: &AppSet, platform: &Platform, model: CommModel) -> Option<Self> {
-        if !crate::mono::links_are_homogeneous(platform) {
-            return None;
-        }
         let n_total = apps.total_stages();
         let p = platform.p();
         if p < n_total {
@@ -82,7 +79,7 @@ impl StageCostTable {
         let mut stage_ids = Vec::with_capacity(n_total);
         let mut cycle = Vec::with_capacity(n_total * total_modes);
         for (a, app) in apps.apps.iter().enumerate() {
-            let comm = crate::mono::uniform_comm(platform, a)?;
+            let comm = platform.uniform_comm(a)?;
             let n = app.n();
             for k in 0..n {
                 let incoming = if k == 0 {
@@ -116,12 +113,6 @@ impl StageCostTable {
     #[inline]
     pub fn rows(&self) -> usize {
         self.stage_ids.len()
-    }
-
-    /// Number of processors (columns).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.p
     }
 
     /// `(application, stage)` of a row.
@@ -240,7 +231,7 @@ pub fn min_energy_interval_fully_hom(
 /// per-candidate form of a Pareto sweep: the Theorem 18 DPs, the Theorem 21
 /// convolution and the single-interval cost rows all live in flat arenas
 /// reused across candidates (zero allocation besides the returned mapping).
-pub fn min_energy_interval_scratch(
+pub(crate) fn min_energy_interval_scratch(
     apps: &AppSet,
     platform: &Platform,
     tables: &[IntervalCostTable],
@@ -261,49 +252,9 @@ pub fn min_energy_interval_scratch(
         energy_dp(table, tb, qmax, workspace.app_scratch(a));
     }
     let DpWorkspace { per_app, conv_e, conv_choice, .. } = workspace;
-
-    // Theorem 21 convolution: E(a, k) = min_q (E_a^q + E(a-1, k-q)).
-    let inf = f64::INFINITY;
-    let stride = p + 1;
-    conv_e.clear();
-    conv_e.resize((a_count + 1) * stride, inf);
-    conv_choice.clear();
-    conv_choice.resize((a_count + 1) * stride, u32::MAX);
-    conv_e[0] = 0.0;
-    for a in 1..=a_count {
-        let exact_k = per_app[a - 1].energy_exact_k();
-        for k in a..=p {
-            let mut best = inf;
-            let mut arg = u32::MAX;
-            let qcap = exact_k.len().min(k - (a - 1));
-            for q in 1..=qcap {
-                let prev = conv_e[(a - 1) * stride + k - q];
-                let cur = exact_k[q - 1];
-                if prev.is_finite() && cur.is_finite() && prev + cur < best {
-                    best = prev + cur;
-                    arg = q as u32;
-                }
-            }
-            conv_e[a * stride + k] = best;
-            conv_choice[a * stride + k] = arg;
-        }
-    }
-    let (k_best, &e_best) = conv_e[a_count * stride..(a_count + 1) * stride]
-        .iter()
-        .enumerate()
-        .min_by(|(_, x), (_, y)| x.partial_cmp(y).expect("no NaN"))?;
-    if !e_best.is_finite() {
-        return None;
-    }
-
-    // Reconstruct per-application processor counts, then partitions.
-    let mut counts = vec![0usize; a_count];
-    let mut k = k_best;
-    for a in (1..=a_count).rev() {
-        let q = conv_choice[a * stride + k] as usize;
-        counts[a - 1] = q;
-        k -= q;
-    }
+    let per_app = &*per_app;
+    let (e_best, counts) =
+        convolve_energies(a_count, p, |a| per_app[a].energy_exact_k(), conv_e, conv_choice)?;
     let partitions: Vec<_> = (0..a_count)
         .map(|a| per_app[a].energy_partition_exact(counts[a]).expect("finite energy"))
         .collect();
@@ -312,6 +263,60 @@ pub fn min_energy_interval_scratch(
     let achieved = Evaluator::new(apps, platform).energy(&mapping);
     debug_assert!(num::approx_eq(achieved, e_best));
     Some(Solution::new(mapping, achieved))
+}
+
+/// Theorem 21 convolution `E(a, k) = min_q (E_a^q + E(a−1, k−q))` over
+/// `exact_k(a)[q-1]`, the energy of application `a` on exactly `q`
+/// processors, for `p` processors in all; `e` and `choice` are reusable
+/// flat buffers. Returns the minimum total energy and the processor count
+/// of each application realizing it, `None` when no combination is finite.
+pub(crate) fn convolve_energies<'t>(
+    a_count: usize,
+    p: usize,
+    exact_k: impl Fn(usize) -> &'t [f64],
+    e: &mut Vec<f64>,
+    choice: &mut Vec<u32>,
+) -> Option<(f64, Vec<usize>)> {
+    let inf = f64::INFINITY;
+    let stride = p + 1;
+    e.clear();
+    e.resize((a_count + 1) * stride, inf);
+    choice.clear();
+    choice.resize((a_count + 1) * stride, u32::MAX);
+    e[0] = 0.0;
+    for a in 1..=a_count {
+        let exact_k = exact_k(a - 1);
+        for k in a..=p {
+            let mut best = inf;
+            let mut arg = u32::MAX;
+            let qcap = exact_k.len().min(k - (a - 1));
+            for q in 1..=qcap {
+                let prev = e[(a - 1) * stride + k - q];
+                let cur = exact_k[q - 1];
+                if prev.is_finite() && cur.is_finite() && prev + cur < best {
+                    best = prev + cur;
+                    arg = q as u32;
+                }
+            }
+            e[a * stride + k] = best;
+            choice[a * stride + k] = arg;
+        }
+    }
+    let (k_best, &e_best) = e[a_count * stride..(a_count + 1) * stride]
+        .iter()
+        .enumerate()
+        .min_by(|(_, x), (_, y)| x.partial_cmp(y).expect("no NaN"))?;
+    if !e_best.is_finite() {
+        return None;
+    }
+    let mut counts = vec![0usize; a_count];
+    let mut k = k_best;
+    for a in (1..=a_count).rev() {
+        let q = choice[a * stride + k] as usize;
+        counts[a - 1] = q;
+        k -= q;
+    }
+    Some((e_best, counts))
 }
 
 #[cfg(test)]

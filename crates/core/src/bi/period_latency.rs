@@ -44,7 +44,7 @@ pub fn min_latency_under_period_fully_hom(
 /// reusable [`DpWorkspace`] — the per-candidate form of a Pareto sweep
 /// (per-application Theorem 15 tables live in flat arenas reused across
 /// candidates).
-pub fn min_latency_under_period_scratch(
+pub(crate) fn min_latency_under_period_scratch(
     apps: &AppSet,
     platform: &Platform,
     tables: &[IntervalCostTable],

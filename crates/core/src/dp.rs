@@ -30,8 +30,9 @@
 //! [`DpScratch::energy_partition_best`] walk the one parent table back to
 //! a [`Partition`]. The convenience wrappers [`period_table`],
 //! [`latency_under_period`] and [`energy_under_period`] build the table
-//! from a [`HomCtx`] and return the solved scratch;
-//! [`min_period_under_latency`] returns the dual's `(period, partition)`.
+//! from a [`HomCtx`] and return the solved scratch. The dual
+//! [`min_period_under_latency_probe`] returns the period; one
+//! [`latency_dp`] at that period then leaves its partition in the scratch.
 //!
 //! # The fast cores
 //!
@@ -844,22 +845,6 @@ pub fn latency_under_period(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> DpSc
     scratch
 }
 
-/// Minimum period achievable with at most `q` intervals subject to a
-/// latency bound (the dual of Theorem 15): [`min_period_under_latency_probe`]
-/// finds the period, then [`latency_dp`] at that period yields the
-/// partition. Returns `(period, partition)`.
-pub fn min_period_under_latency(
-    ctx: &HomCtx<'_>,
-    l_bound: f64,
-    q: usize,
-) -> Option<(f64, Partition)> {
-    let table = IntervalCostTable::build(ctx);
-    let mut scratch = DpScratch::new();
-    let t = min_period_under_latency_probe(&table, &table.candidates(), l_bound, q, &mut scratch)?;
-    latency_dp(&table, t, q, &mut scratch);
-    Some((t, scratch.latency_partition(q, table.modes() - 1)?))
-}
-
 /// The smallest of the sorted `candidates` periods under which
 /// [`latency_dp`] reaches latency ≤ `l_bound` with at most `q` intervals.
 /// Feasibility is monotone in the period, so the candidates are
@@ -1238,16 +1223,23 @@ mod tests {
         let a = app();
         let speeds = [8.0];
         let ctx = HomCtx::new(&a, &speeds, 1.0, CommModel::Overlap);
+        let table = IntervalCostTable::build(&ctx);
+        let cands = table.candidates();
+        let mut scratch = DpScratch::new();
+        let mut dual = |l_bound: f64| {
+            min_period_under_latency_probe(&table, &cands, l_bound, 4, &mut scratch)
+        };
         // Unbounded latency: dual returns the unconstrained optimum period.
-        let (t, _) = min_period_under_latency(&ctx, f64::INFINITY, 4).unwrap();
+        let t = dual(f64::INFINITY).unwrap();
         let unconstrained = period_table(&ctx, 4).best_row()[3];
         assert!((t - unconstrained).abs() < 1e-12);
         // Latency bound 2.75 forces the single interval: period 1.75.
-        let (t, part) = min_period_under_latency(&ctx, 2.75, 4).unwrap();
+        let t = dual(2.75).unwrap();
         assert!((t - 1.75).abs() < 1e-12);
-        assert_eq!(part.intervals, vec![(0, 3)]);
         // Impossible latency bound.
-        assert!(min_period_under_latency(&ctx, 0.1, 4).is_none());
+        assert!(dual(0.1).is_none());
+        latency_dp(&table, t, 4, &mut scratch);
+        assert_eq!(scratch.latency_partition(4, table.modes() - 1).unwrap().intervals, vec![(0, 3)]);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl<'a, F: FnMut(&Mapping)> Dfs<'a, F> {
 /// automatically when the platform has homogeneous links, which reduces the
 /// enumeration exponentially on fully homogeneous platforms without losing
 /// any objective value.
-pub fn for_each_mapping(
+fn for_each_mapping(
     apps: &AppSet,
     platform: &Platform,
     cfg: ExactConfig,
@@ -124,13 +124,6 @@ pub fn for_each_mapping(
         visit,
     };
     dfs.run();
-}
-
-/// Count the mappings `for_each_mapping` would visit (diagnostics).
-pub fn count_mappings(apps: &AppSet, platform: &Platform, cfg: ExactConfig) -> u64 {
-    let mut count = 0u64;
-    for_each_mapping(apps, platform, cfg, |_| count += 1);
-    count
 }
 
 /// Exhaustively optimize `objective` subject to `thresholds`, returning the
@@ -165,6 +158,13 @@ pub fn exact_optimize(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Count the mappings `for_each_mapping` would visit (diagnostics).
+    fn count_mappings(apps: &AppSet, platform: &Platform, cfg: ExactConfig) -> u64 {
+        let mut count = 0u64;
+        for_each_mapping(apps, platform, cfg, |_| count += 1);
+        count
+    }
     use cpo_model::application::Application;
     use cpo_model::generator::section2_example;
 

@@ -365,7 +365,7 @@ fn propose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tri::multimodal::branch_and_bound_tri;
+    use crate::tri::multimodal::branch_and_bound_tri_counted;
     use crate::MappingKind;
     use cpo_model::generator::section2_example;
 
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn local_search_finds_near_optimal_energy() {
         let (apps, pf) = section2_example();
-        let exact = branch_and_bound_tri(
+        let exact = branch_and_bound_tri_counted(
             &apps,
             &pf,
             CommModel::Overlap,
@@ -420,6 +420,7 @@ mod tests {
             &[2.0, 2.0],
             &[1e9, 1e9],
         )
+        .0
         .unwrap();
         let heur = local_search(
             &apps,

@@ -43,10 +43,13 @@ pub mod tri;
 pub use router::{plan, route, route_with, Plan, RouterScratch};
 pub use solution::{Criterion, MappingKind, Solution};
 
-/// Prelude re-exporting the crate's full public solver surface: every
-/// entry point of every module (mono/bi/tri solvers, exact baselines,
-/// heuristics, fairness, the Section 6 extensions, the Pareto sweeps) plus
-/// the typed front door (problem IR + router).
+/// Prelude re-exporting the crate's full public solver surface: the one
+/// entry point of every solver (mono/bi/tri solvers, exact baselines,
+/// heuristics, fairness, the Section 6 extensions), the two Pareto fronts
+/// with their [`Sweep`](crate::sweep::Sweep) configuration and
+/// [`FrontPoint`](crate::sweep::FrontPoint) result, plus the typed front
+/// door (problem IR + router). The per-candidate scratch forms the router
+/// and the sweeps reuse workspaces through stay inside the crate.
 pub mod prelude {
     pub use crate::bi::period_energy::{
         min_energy_interval_fully_hom, min_energy_one_to_one_matching,
@@ -66,10 +69,7 @@ pub mod prelude {
     };
     pub use crate::mono::period_interval::minimize_global_period;
     pub use crate::mono::period_one_to_one::min_period_one_to_one_comm_hom;
-    pub use crate::pareto::{
-        period_energy_front, period_energy_front_with, period_latency_front,
-        period_latency_front_with, ParetoPoint, PeriodLatencyPoint,
-    };
+    pub use crate::pareto::{period_energy_front, period_latency_front};
     pub use crate::replication::{
         min_energy_replicated_under_period, minimize_global_period_replicated,
         replicated_period_table, ReplicatedPartition, ReplicatedPeriodTable,
@@ -77,10 +77,8 @@ pub mod prelude {
     pub use crate::router::{plan, route, route_with, Plan, RouterScratch};
     pub use crate::sharing::{exact_min_period_general, lpt_general_period, sharing_gain};
     pub use crate::solution::{Criterion, MappingKind, Solution};
-    pub use crate::sweep::Sweep;
-    pub use crate::tri::multimodal::{
-        branch_and_bound_tri, branch_and_bound_tri_counted, tri_feasible,
-    };
+    pub use crate::sweep::{FrontPoint, Sweep};
+    pub use crate::tri::multimodal::{branch_and_bound_tri_counted, tri_feasible};
     pub use crate::tri::unimodal::{
         min_energy_tri_unimodal, min_latency_tri_unimodal, min_period_tri_unimodal,
     };

@@ -48,7 +48,7 @@ fn whole_chain_latency(apps: &AppSet, platform: &Platform, a: usize, s: f64) -> 
     // A whole chain on one processor only crosses the `P_in` and `P_out`
     // front-end links; no inter-processor edge exists, so no multistage
     // traversal overhead applies.
-    let comm = super::uniform_comm(platform, a)?;
+    let comm = platform.uniform_comm(a)?;
     Some(
         app.weight
             * (comm.io_time(app.input) + app.total_work() / s + comm.io_time(app.result_size())),

@@ -6,21 +6,13 @@ pub mod latency;
 pub mod period_interval;
 pub mod period_one_to_one;
 
-use cpo_model::platform::{Links, Platform};
-use cpo_model::topology::UniformComm;
-
-/// Uniform communication structure seen by application `app`: a single
-/// bandwidth plus the inter-processor transfer overhead (zero on
-/// dedicated links, the stage-traversal latency on a multistage fabric).
-/// `None` on fully heterogeneous links.
-pub(crate) fn uniform_comm(platform: &Platform, app: usize) -> Option<UniformComm> {
-    platform.uniform_comm(app)
-}
+use cpo_model::platform::Platform;
 
 /// Check the platform qualifies as communication homogeneous for the
-/// Theorem 1 / 12 greedy algorithms: uniform or per-application dedicated
-/// links, or any multistage fabric (whose links are identical by
-/// construction).
+/// Theorem 1 / 12 greedy algorithms: it has a [`Platform::uniform_comm`]
+/// structure — uniform or per-application
+/// dedicated links, a heterogeneous matrix holding one bandwidth, or any
+/// multistage fabric (whose links are identical by construction).
 pub(crate) fn links_are_homogeneous(platform: &Platform) -> bool {
-    platform.is_multistage() || !matches!(platform.links, Links::Heterogeneous { .. })
+    platform.uniform_comm(0).is_some()
 }

@@ -9,7 +9,7 @@
 //! count.
 
 use crate::alloc::allocate_processors;
-use crate::dp::{period_dp, DpWorkspace, HomCtx, IntervalCostTable};
+use crate::dp::{period_dp, DpWorkspace, IntervalCostTable};
 use crate::solution::Solution;
 use cpo_model::num;
 use cpo_model::prelude::*;
@@ -40,38 +40,26 @@ pub fn minimize_global_period(
     platform: &Platform,
     model: CommModel,
 ) -> Option<Solution> {
-    if platform.class() != PlatformClass::FullyHomogeneous {
-        return None;
-    }
     let p = platform.p();
     let a_count = apps.a();
-    if p < a_count {
-        return None;
-    }
-    let speeds = platform.procs[0].speeds().to_vec();
 
     // Per-application period DPs, solved once up to the maximum number of
     // processors any application could receive, one scratch per
     // application so the partitions stay readable after the allocation.
-    let qmax = p - a_count + 1;
+    // Each cost table is dropped as soon as its DP has run.
+    let qmax = (p + 1).saturating_sub(a_count);
     let mut workspace = DpWorkspace::new();
-    for (a, app) in apps.apps.iter().enumerate() {
-        let comm = super::uniform_comm(platform, a)?;
-        let ctx = HomCtx::with_comm(app, &speeds, comm, model);
-        period_dp(
-            &IntervalCostTable::build(&ctx),
-            qmax,
-            workspace.app_scratch(a),
-        );
-    }
+    let top_modes = crate::bi::cost_tables(apps, platform, model, |a, ctx| {
+        period_dp(&IntervalCostTable::build(ctx), qmax, workspace.app_scratch(a));
+        ctx.speeds.len() - 1
+    })?;
     let per_app = &workspace.per_app;
     let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
 
     let alloc = allocate_processors(a_count, p, &weights, |a, q| per_app[a].best_row()[q - 1])?;
 
-    let top = speeds.len() - 1;
     let partitions: Vec<_> = (0..a_count)
-        .map(|a| per_app[a].period_partition(alloc.procs[a], top).ok())
+        .map(|a| per_app[a].period_partition(alloc.procs[a], top_modes[a]).ok())
         .collect::<Option<Vec<_>>>()?;
     let mapping = mapping_from_partitions(&partitions);
     debug_assert!(mapping.validate(apps, platform).is_ok());

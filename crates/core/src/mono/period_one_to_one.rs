@@ -83,7 +83,7 @@ pub fn min_period_one_to_one_comm_hom(
     // (zero on dedicated links — bitwise the same division as before).
     let mut stages = Vec::with_capacity(n_total);
     for (a, app) in apps.apps.iter().enumerate() {
-        let comm = super::uniform_comm(platform, a)?;
+        let comm = platform.uniform_comm(a)?;
         let n = app.n();
         for k in 0..n {
             let incoming = if k == 0 {

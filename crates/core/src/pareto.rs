@@ -16,32 +16,10 @@ use crate::bi::period_energy::{
 use crate::bi::period_latency::min_latency_under_period_scratch;
 use crate::dp::{DpWorkspace, IntervalCostTable};
 use crate::solution::{MappingKind, Solution};
-use crate::sweep::{sweep_front, CandidateSolver, Scored, Sweep};
+use crate::sweep::{sweep_front, CandidateSolver, FrontPoint, Sweep};
 use cpo_matching::{CostMatrix, HungarianWorkspace};
 use cpo_model::num;
 use cpo_model::prelude::*;
-
-/// One point of a period/energy front.
-#[derive(Debug, Clone)]
-pub struct ParetoPoint {
-    /// Global weighted period threshold achieved.
-    pub period: f64,
-    /// Minimum energy at that period.
-    pub energy: f64,
-    /// A mapping realizing the point.
-    pub solution: Solution,
-}
-
-/// One point of a period/latency front.
-#[derive(Debug, Clone)]
-pub struct PeriodLatencyPoint {
-    /// Global weighted period achieved.
-    pub period: f64,
-    /// Minimum global weighted latency at that period.
-    pub latency: f64,
-    /// A mapping realizing the point.
-    pub solution: Solution,
-}
 
 /// Candidate *global weighted* period values for the given mapping kind:
 /// all `W_a ×` interval (or stage) cycle-times at every available speed,
@@ -78,30 +56,20 @@ fn interval_candidates(tables: &[IntervalCostTable], top_only: bool) -> Vec<f64>
 /// interval mappings use the Theorem 18/21 dynamic program (fully
 /// homogeneous platforms), one-to-one mappings use the Theorem 19 matching
 /// (communication homogeneous platforms). Returns the non-dominated points
-/// sorted by increasing period.
+/// sorted by increasing period: `achieved` is the period of the witness
+/// mapping, `objective` its (minimum) energy.
 ///
-/// Runs the pruned, parallel sweep with default settings; see
-/// [`period_energy_front_with`] to control pruning and thread count.
+/// The produced front is identical for every [`Sweep`] configuration —
+/// including [`Sweep::exhaustive`], the naive solve-every-candidate
+/// baseline; [`Sweep::default`] prunes and runs one thread per core.
 pub fn period_energy_front(
     apps: &AppSet,
     platform: &Platform,
     model: CommModel,
     kind: MappingKind,
-) -> Vec<ParetoPoint> {
-    period_energy_front_with(apps, platform, model, kind, &Sweep::default())
-}
-
-/// [`period_energy_front`] under an explicit [`Sweep`] configuration.
-/// The produced front is identical for every configuration — including
-/// [`Sweep::exhaustive`], the naive solve-every-candidate baseline.
-pub fn period_energy_front_with(
-    apps: &AppSet,
-    platform: &Platform,
-    model: CommModel,
-    kind: MappingKind,
     sweep: &Sweep,
-) -> Vec<ParetoPoint> {
-    let points = match kind {
+) -> Vec<FrontPoint> {
+    match kind {
         MappingKind::Interval => {
             let Some(tables) = interval_cost_tables(apps, platform, model) else {
                 return Vec::new();
@@ -118,31 +86,20 @@ pub fn period_energy_front_with(
             let solver = MatchingEnergySolver { apps, platform, model, table };
             sweep_front(&candidates, &solver, sweep)
         }
-    };
-    points
-        .into_iter()
-        .map(|p| ParetoPoint { period: p.achieved, energy: p.objective, solution: p.solution })
-        .collect()
+    }
 }
 
 /// Sweep the period/latency Pareto front on a fully homogeneous platform
 /// (interval mappings, Theorem 16 under every candidate period bound).
-/// Returns the non-dominated points sorted by increasing period.
+/// Returns the non-dominated points sorted by increasing period:
+/// `achieved` is the period of the witness mapping, `objective` its
+/// (minimum) global weighted latency. Identical for every [`Sweep`].
 pub fn period_latency_front(
     apps: &AppSet,
     platform: &Platform,
     model: CommModel,
-) -> Vec<PeriodLatencyPoint> {
-    period_latency_front_with(apps, platform, model, &Sweep::default())
-}
-
-/// [`period_latency_front`] under an explicit [`Sweep`] configuration.
-pub fn period_latency_front_with(
-    apps: &AppSet,
-    platform: &Platform,
-    model: CommModel,
     sweep: &Sweep,
-) -> Vec<PeriodLatencyPoint> {
+) -> Vec<FrontPoint> {
     let Some(tables) = interval_cost_tables(apps, platform, model) else {
         return Vec::new();
     };
@@ -151,13 +108,6 @@ pub fn period_latency_front_with(
     let candidates = interval_candidates(&tables, true);
     let solver = IntervalLatencySolver { apps, platform, model, tables };
     sweep_front(&candidates, &solver, sweep)
-        .into_iter()
-        .map(|p| PeriodLatencyPoint {
-            period: p.achieved,
-            latency: p.objective,
-            solution: p.solution,
-        })
-        .collect()
 }
 
 /// Fill the per-application bounds into a reusable buffer: global weighted
@@ -165,6 +115,13 @@ pub fn period_latency_front_with(
 fn fill_bounds(apps: &AppSet, t: f64, bounds: &mut Vec<f64>) {
     bounds.clear();
     bounds.extend(apps.apps.iter().map(|a| t / a.weight));
+}
+
+/// The front point of a witness solution: its achieved period beside the
+/// objective the solver minimized.
+fn point(apps: &AppSet, platform: &Platform, model: CommModel, sol: Solution) -> FrontPoint {
+    let achieved = Evaluator::new(apps, platform).period(&sol.mapping, model);
+    FrontPoint { achieved, objective: sol.objective, solution: sol }
 }
 
 struct IntervalEnergySolver<'a> {
@@ -181,13 +138,12 @@ impl CandidateSolver for IntervalEnergySolver<'_> {
         (DpWorkspace::new(), Vec::new())
     }
 
-    fn solve(&self, state: &mut Self::State, t: f64) -> Option<Scored> {
+    fn solve(&self, state: &mut Self::State, t: f64) -> Option<FrontPoint> {
         let (ws, bounds) = state;
         fill_bounds(self.apps, t, bounds);
         let sol =
             min_energy_interval_scratch(self.apps, self.platform, &self.tables, bounds, ws)?;
-        let achieved = Evaluator::new(self.apps, self.platform).period(&sol.mapping, self.model);
-        Some(Scored { achieved, objective: sol.objective, solution: sol })
+        Some(point(self.apps, self.platform, self.model, sol))
     }
 }
 
@@ -205,14 +161,13 @@ impl CandidateSolver for MatchingEnergySolver<'_> {
         (HungarianWorkspace::new(), CostMatrix::new(), Vec::new())
     }
 
-    fn solve(&self, state: &mut Self::State, t: f64) -> Option<Scored> {
+    fn solve(&self, state: &mut Self::State, t: f64) -> Option<FrontPoint> {
         let (workspace, matrix, bounds) = state;
         fill_bounds(self.apps, t, bounds);
         let sol = min_energy_one_to_one_with_table(
             self.apps, self.platform, &self.table, bounds, workspace, matrix,
         )?;
-        let achieved = Evaluator::new(self.apps, self.platform).period(&sol.mapping, self.model);
-        Some(Scored { achieved, objective: sol.objective, solution: sol })
+        Some(point(self.apps, self.platform, self.model, sol))
     }
 }
 
@@ -230,7 +185,7 @@ impl CandidateSolver for IntervalLatencySolver<'_> {
         (DpWorkspace::new(), Vec::new())
     }
 
-    fn solve(&self, state: &mut Self::State, t: f64) -> Option<Scored> {
+    fn solve(&self, state: &mut Self::State, t: f64) -> Option<FrontPoint> {
         let (ws, bounds) = state;
         fill_bounds(self.apps, t, bounds);
         let sol = min_latency_under_period_scratch(
@@ -241,8 +196,7 @@ impl CandidateSolver for IntervalLatencySolver<'_> {
             self.platform.p(),
             ws,
         )?;
-        let achieved = Evaluator::new(self.apps, self.platform).period(&sol.mapping, self.model);
-        Some(Scored { achieved, objective: sol.objective, solution: sol })
+        Some(point(self.apps, self.platform, self.model, sol))
     }
 }
 
@@ -256,16 +210,16 @@ mod tests {
         // Homogenized Section 2 platform so the interval DP applies.
         let (apps, _) = section2_example();
         let pf = Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0, 8.0], 1.0).unwrap();
-        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval);
+        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval, &Sweep::default());
         assert!(!front.is_empty());
         for w in front.windows(2) {
-            assert!(w[0].period <= w[1].period + 1e-9, "periods ascending");
-            assert!(w[0].energy > w[1].energy - 1e-9, "energy descending");
+            assert!(w[0].achieved <= w[1].achieved + 1e-9, "periods ascending");
+            assert!(w[0].objective > w[1].objective - 1e-9, "energy descending");
         }
         // The loosest point is the global minimum energy: both apps on one
         // processor each at speed 1 → 1 + 1 = 2.
         let last = front.last().unwrap();
-        assert!((last.energy - 2.0).abs() < 1e-9);
+        assert!((last.objective - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -277,10 +231,10 @@ mod tests {
             procs.push(cpo_model::platform::Processor::new(vec![2.0, 5.0]).unwrap());
         }
         let pf = Platform::comm_homogeneous(procs, 1.0).unwrap();
-        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::OneToOne);
+        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::OneToOne, &Sweep::default());
         assert!(!front.is_empty());
         for w in front.windows(2) {
-            assert!(w[0].energy > w[1].energy - 1e-9);
+            assert!(w[0].objective > w[1].objective - 1e-9);
         }
         // Every point's mapping is valid and one-to-one.
         for pt in &front {
@@ -293,11 +247,11 @@ mod tests {
     fn achieved_period_never_exceeds_threshold_point() {
         let (apps, _) = section2_example();
         let pf = Platform::fully_homogeneous(3, vec![1.0, 3.0, 6.0], 1.0).unwrap();
-        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval);
+        let front = period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval, &Sweep::default());
         let ev = Evaluator::new(&apps, &pf);
         for pt in &front {
             let t = ev.period(&pt.solution.mapping, CommModel::Overlap);
-            assert!((t - pt.period).abs() < 1e-9);
+            assert!((t - pt.achieved).abs() < 1e-9);
         }
     }
 
@@ -305,11 +259,11 @@ mod tests {
     fn wrong_platform_class_yields_empty_front() {
         let (apps, pf) = section2_example();
         // Section 2's platform is only comm homogeneous: no interval front.
-        assert!(period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval)
+        assert!(period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::Interval, &Sweep::default())
             .is_empty());
-        assert!(period_latency_front(&apps, &pf, CommModel::Overlap).is_empty());
+        assert!(period_latency_front(&apps, &pf, CommModel::Overlap, &Sweep::default()).is_empty());
         // And with p < N (3 < 7), no one-to-one front either.
-        assert!(period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::OneToOne)
+        assert!(period_energy_front(&apps, &pf, CommModel::Overlap, MappingKind::OneToOne, &Sweep::default())
             .is_empty());
     }
 
@@ -317,17 +271,17 @@ mod tests {
     fn period_latency_front_is_monotone_and_valid() {
         let (apps, _) = section2_example();
         let pf = Platform::fully_homogeneous(4, vec![2.0, 6.0], 1.0).unwrap();
-        let front = period_latency_front(&apps, &pf, CommModel::Overlap);
+        let front = period_latency_front(&apps, &pf, CommModel::Overlap, &Sweep::default());
         assert!(!front.is_empty());
         let ev = Evaluator::new(&apps, &pf);
         for w in front.windows(2) {
-            assert!(w[0].period <= w[1].period + 1e-9, "periods ascending");
-            assert!(w[0].latency > w[1].latency - 1e-9, "latency descending");
+            assert!(w[0].achieved <= w[1].achieved + 1e-9, "periods ascending");
+            assert!(w[0].objective > w[1].objective - 1e-9, "latency descending");
         }
         for pt in &front {
             pt.solution.mapping.validate(&apps, &pf).unwrap();
-            assert!((ev.latency(&pt.solution.mapping) - pt.latency).abs() < 1e-9);
-            assert!((ev.period(&pt.solution.mapping, CommModel::Overlap) - pt.period).abs() < 1e-9);
+            assert!((ev.latency(&pt.solution.mapping) - pt.objective).abs() < 1e-9);
+            assert!((ev.period(&pt.solution.mapping, CommModel::Overlap) - pt.achieved).abs() < 1e-9);
         }
     }
 

@@ -13,11 +13,11 @@
 //!   and replication factor jointly, with the cheapest feasible mode per
 //!   `(interval, r)` (replication as an alternative to DVFS: `r` slow
 //!   processors vs one fast processor — the ablation the benches quantify).
-//! * [`exact_min_period_replicated`] — exhaustive baseline for
-//!   certification.
 
 #![allow(clippy::needless_range_loop)]
 use crate::alloc::allocate_processors;
+use crate::bi::cost_tables;
+use crate::bi::period_energy::convolve_energies;
 use crate::dp::HomCtx;
 use cpo_model::num;
 use cpo_model::prelude::*;
@@ -32,13 +32,6 @@ pub struct ReplicatedPartition {
     pub factors: Vec<usize>,
     /// Mode per interval (all replicas share it).
     pub modes: Vec<usize>,
-}
-
-impl ReplicatedPartition {
-    /// Total processors consumed.
-    pub fn procs_used(&self) -> usize {
-        self.factors.iter().sum()
-    }
 }
 
 /// Result of the replicated period DP.
@@ -171,14 +164,6 @@ pub fn minimize_global_period_replicated(
     platform: &Platform,
     model: CommModel,
 ) -> Option<(ReplicatedMapping, f64)> {
-    if platform.class() != PlatformClass::FullyHomogeneous {
-        return None;
-    }
-    let p = platform.p();
-    let a_count = apps.a();
-    if p < a_count {
-        return None;
-    }
     // Replication multiplexes one logical edge over several physical
     // routes; on a shared multistage fabric that breaks the
     // partial-permutation property the Benes routing certificate relies
@@ -186,24 +171,14 @@ pub fn minimize_global_period_replicated(
     if platform.is_multistage() {
         return None;
     }
-    let speeds = platform.procs[0].speeds().to_vec();
-    let b = match &platform.links {
-        cpo_model::platform::Links::Uniform(b) => *b,
-        cpo_model::platform::Links::PerApp(bs) => bs[0],
-        cpo_model::platform::Links::Heterogeneous { .. } => return None,
-    };
-    let qmax = p - a_count + 1;
-    let tables: Vec<ReplicatedPeriodTable> = apps
-        .apps
-        .iter()
-        .map(|app| {
-            let ctx = HomCtx::new(app, &speeds, b, model);
-            replicated_period_table(&ctx, qmax)
-        })
-        .collect();
+    let p = platform.p();
+    let a_count = apps.a();
+    let qmax = (p + 1).saturating_sub(a_count);
+    let tables =
+        cost_tables(apps, platform, model, |_, ctx| replicated_period_table(ctx, qmax))?;
     let weights: Vec<f64> = apps.apps.iter().map(|a| a.weight).collect();
     let alloc = allocate_processors(a_count, p, &weights, |a, q| tables[a].best[q - 1])?;
-    let top = speeds.len() - 1;
+    let top = platform.procs[0].modes() - 1;
     let partitions: Vec<_> =
         (0..a_count).map(|a| tables[a].partition(alloc.procs[a], top)).collect();
     let mapping = mapping_from_replicated(&partitions);
@@ -230,10 +205,105 @@ fn cheapest_mode_for_factor(
     None
 }
 
-/// Minimum-energy replicated mapping of a single application under a period
-/// bound (fully homogeneous platform): DP over (prefix, processors used)
-/// choosing each interval's split and replication factor `r` jointly
-/// (each candidate `r` takes its cheapest feasible mode). Returns
+/// One application's replicated energy DP: `exact_k[k-1]` = minimum energy
+/// on exactly `k` processors, with the split, factor and mode realizing
+/// every `(k, i)` cell (flat arenas).
+struct ReplicatedEnergyTable {
+    n: usize,
+    stride: usize,
+    exact_k: Vec<f64>,
+    parent_j: Vec<u32>,
+    parent_r: Vec<u32>,
+    parent_m: Vec<u32>,
+}
+
+/// `e[k][i]` = min energy, exactly `k` processors, first `i` stages, every
+/// interval's cycle-time over its `r` replicas ≤ `t_bound`; each interval
+/// contributes its cheapest `(r, mode)`. Every `(j, r)` pair whose compute
+/// lower bound `W/(s_top·r)` already misses the bound is skipped exactly
+/// (the cycle-time at every mode dominates that bound bitwise, so the
+/// reference scan would have found no feasible mode either).
+fn replicated_energy_table(ctx: &HomCtx<'_>, t_bound: f64, qmax: usize) -> ReplicatedEnergyTable {
+    let inf = f64::INFINITY;
+    let s_top = ctx.max_speed();
+    let n = ctx.app.n();
+    let stride = n + 1;
+    let cells = (qmax + 1) * stride;
+    let mut exact = vec![inf; cells];
+    let mut parent_j = vec![u32::MAX; cells];
+    let mut parent_r = vec![0u32; cells];
+    let mut parent_m = vec![0u32; cells];
+    exact[0] = 0.0;
+    for k in 1..=qmax {
+        exact[k * stride] = 0.0;
+        for i in 1..=n {
+            let mut best = inf;
+            let mut arg = (u32::MAX, 0u32, 0u32);
+            for j in 0..i {
+                let w_top = ctx.app.interval_work(j, i - 1) / s_top;
+                // Even maximal replication misses the bound: no r fits.
+                if !num::le(w_top / k as f64, t_bound) {
+                    continue;
+                }
+                // The replication factor must be chosen jointly with the
+                // split: the globally cheapest (r, mode) can starve the
+                // prefix of processors while a costlier smaller r fits.
+                for r in 1..=k {
+                    if !exact[(k - r) * stride + j].is_finite() {
+                        continue;
+                    }
+                    if !num::le(w_top / r as f64, t_bound) {
+                        continue;
+                    }
+                    if let Some((m, e)) = cheapest_mode_for_factor(ctx, j, i - 1, t_bound, r) {
+                        let prev = exact[(k - r) * stride + j];
+                        if prev + e < best {
+                            best = prev + e;
+                            arg = (j as u32, r as u32, m as u32);
+                        }
+                    }
+                }
+            }
+            exact[k * stride + i] = best;
+            parent_j[k * stride + i] = arg.0;
+            parent_r[k * stride + i] = arg.1;
+            parent_m[k * stride + i] = arg.2;
+        }
+    }
+    let exact_k: Vec<f64> = (1..=qmax).map(|k| exact[k * stride + n]).collect();
+    ReplicatedEnergyTable { n, stride, exact_k, parent_j, parent_r, parent_m }
+}
+
+impl ReplicatedEnergyTable {
+    /// The partition realizing `exact_k[k-1]`.
+    fn partition(&self, k: usize) -> ReplicatedPartition {
+        let mut kk = k;
+        let mut intervals = Vec::new();
+        let mut factors = Vec::new();
+        let mut modes = Vec::new();
+        let mut i = self.n;
+        while i > 0 {
+            let cell = kk * self.stride + i;
+            let j = self.parent_j[cell] as usize;
+            let r = self.parent_r[cell] as usize;
+            intervals.push((j, i - 1));
+            factors.push(r);
+            modes.push(self.parent_m[cell] as usize);
+            kk -= r;
+            i = j;
+        }
+        intervals.reverse();
+        factors.reverse();
+        modes.reverse();
+        ReplicatedPartition { intervals, factors, modes }
+    }
+}
+
+/// Minimum-energy replicated mapping under per-application period bounds
+/// (fully homogeneous platform): per application, a DP over (prefix,
+/// processors used) choosing each interval's split and replication factor
+/// `r` jointly (each candidate `r` takes its cheapest feasible mode), then
+/// the Theorem 21 convolution across applications. Returns
 /// `(mapping, energy)`.
 pub fn min_energy_replicated_under_period(
     apps: &AppSet,
@@ -242,191 +312,29 @@ pub fn min_energy_replicated_under_period(
     period_bounds: &[f64],
 ) -> Option<(ReplicatedMapping, f64)> {
     assert_eq!(period_bounds.len(), apps.a());
-    if platform.class() != PlatformClass::FullyHomogeneous {
-        return None;
-    }
-    let p = platform.p();
-    let a_count = apps.a();
-    if p < a_count {
-        return None;
-    }
     // Same dedicated-links-only gate as `minimize_global_period_replicated`.
     if platform.is_multistage() {
         return None;
     }
-    let speeds = platform.procs[0].speeds().to_vec();
-    let e_stat = platform.procs[0].e_stat;
-    let b = match &platform.links {
-        cpo_model::platform::Links::Uniform(b) => *b,
-        cpo_model::platform::Links::PerApp(bs) => bs[0],
-        cpo_model::platform::Links::Heterogeneous { .. } => return None,
-    };
-    let inf = f64::INFINITY;
-    let qmax = p - a_count + 1;
-
-    // Per-application DP: e[k][i] = min energy, exactly k processors, first
-    // i stages; each interval contributes its cheapest (r, mode). Flat
-    // arenas; every (j, r) pair whose compute lower bound `W/(s_top·r)`
-    // already misses the period bound is skipped exactly (the cycle-time at
-    // every mode dominates that bound bitwise, so the reference scan would
-    // have found no feasible mode either).
-    struct AppTable {
-        n: usize,
-        stride: usize,
-        exact_k: Vec<f64>,
-        parent_j: Vec<u32>,
-        parent_r: Vec<u32>,
-        parent_m: Vec<u32>,
-    }
-    let s_top = *speeds.last().expect("non-empty speed set");
-    let mut tables = Vec::with_capacity(a_count);
-    for (a, app) in apps.apps.iter().enumerate() {
-        let mut ctx = HomCtx::new(app, &speeds, b, model);
-        ctx.e_stat = e_stat;
-        let n = app.n();
-        let stride = n + 1;
-        let cells = (qmax + 1) * stride;
-        let mut exact = vec![inf; cells];
-        let mut parent_j = vec![u32::MAX; cells];
-        let mut parent_r = vec![0u32; cells];
-        let mut parent_m = vec![0u32; cells];
-        exact[0] = 0.0;
-        for k in 1..=qmax {
-            exact[k * stride] = 0.0;
-            for i in 1..=n {
-                let mut best = inf;
-                let mut arg = (u32::MAX, 0u32, 0u32);
-                for j in 0..i {
-                    let w_top = app.interval_work(j, i - 1) / s_top;
-                    // Even maximal replication misses the bound: no r fits.
-                    if !num::le(w_top / k as f64, period_bounds[a]) {
-                        continue;
-                    }
-                    // The replication factor must be chosen jointly with the
-                    // split: the globally cheapest (r, mode) can starve the
-                    // prefix of processors while a costlier smaller r fits.
-                    for r in 1..=k {
-                        if !exact[(k - r) * stride + j].is_finite() {
-                            continue;
-                        }
-                        if !num::le(w_top / r as f64, period_bounds[a]) {
-                            continue;
-                        }
-                        if let Some((m, e)) =
-                            cheapest_mode_for_factor(&ctx, j, i - 1, period_bounds[a], r)
-                        {
-                            let prev = exact[(k - r) * stride + j];
-                            if prev + e < best {
-                                best = prev + e;
-                                arg = (j as u32, r as u32, m as u32);
-                            }
-                        }
-                    }
-                }
-                exact[k * stride + i] = best;
-                parent_j[k * stride + i] = arg.0;
-                parent_r[k * stride + i] = arg.1;
-                parent_m[k * stride + i] = arg.2;
-            }
-        }
-        let exact_k: Vec<f64> = (1..=qmax).map(|k| exact[k * stride + n]).collect();
-        tables.push(AppTable { n, stride, exact_k, parent_j, parent_r, parent_m });
-    }
-
-    // Theorem-21-style convolution across applications (flat arena).
-    let cstride = p + 1;
-    let mut e = vec![inf; (a_count + 1) * cstride];
-    let mut choice = vec![u32::MAX; (a_count + 1) * cstride];
-    e[0] = 0.0;
-    for a in 1..=a_count {
-        for k in a..=p {
-            let mut best = inf;
-            let mut arg = u32::MAX;
-            let qcap = tables[a - 1].exact_k.len().min(k - (a - 1));
-            for q in 1..=qcap {
-                let prev = e[(a - 1) * cstride + k - q];
-                let cur = tables[a - 1].exact_k[q - 1];
-                if prev.is_finite() && cur.is_finite() && prev + cur < best {
-                    best = prev + cur;
-                    arg = q as u32;
-                }
-            }
-            e[a * cstride + k] = best;
-            choice[a * cstride + k] = arg;
-        }
-    }
-    let (k_best, &e_best) = e[a_count * cstride..(a_count + 1) * cstride]
-        .iter()
-        .enumerate()
-        .min_by(|(_, x), (_, y)| x.partial_cmp(y).expect("no NaN"))?;
-    if !e_best.is_finite() {
-        return None;
-    }
-
-    // Reconstruct.
-    let mut counts = vec![0usize; a_count];
-    let mut k = k_best;
-    for a in (1..=a_count).rev() {
-        let q = choice[a * cstride + k] as usize;
-        counts[a - 1] = q;
-        k -= q;
-    }
-    let mut partitions = Vec::with_capacity(a_count);
-    for (a, table) in tables.iter().enumerate() {
-        let mut kk = counts[a];
-        let mut intervals = Vec::new();
-        let mut factors = Vec::new();
-        let mut modes = Vec::new();
-        let mut i = table.n;
-        while i > 0 {
-            let cell = kk * table.stride + i;
-            let j = table.parent_j[cell] as usize;
-            let r = table.parent_r[cell] as usize;
-            intervals.push((j, i - 1));
-            factors.push(r);
-            modes.push(table.parent_m[cell] as usize);
-            kk -= r;
-            i = j;
-        }
-        intervals.reverse();
-        factors.reverse();
-        modes.reverse();
-        partitions.push(ReplicatedPartition { intervals, factors, modes });
-    }
+    let p = platform.p();
+    let a_count = apps.a();
+    let qmax = (p + 1).saturating_sub(a_count);
+    let tables = cost_tables(apps, platform, model, |a, ctx| {
+        replicated_energy_table(ctx, period_bounds[a], qmax)
+    })?;
+    let (e_best, counts) = convolve_energies(
+        a_count,
+        p,
+        |a| tables[a].exact_k.as_slice(),
+        &mut Vec::new(),
+        &mut Vec::new(),
+    )?;
+    let partitions: Vec<_> = tables.iter().zip(counts).map(|(t, k)| t.partition(k)).collect();
     let mapping = mapping_from_replicated(&partitions);
     debug_assert!(mapping.validate(apps, platform).is_ok());
     let achieved = ReplicatedEvaluator::new(apps, platform).energy(&mapping);
     debug_assert!(num::approx_eq(achieved, e_best));
     Some((mapping, achieved))
-}
-
-/// Exhaustive replicated-period baseline (single application, identical
-/// processors): enumerate all partitions and factor vectors. Exponential;
-/// certification only.
-pub fn exact_min_period_replicated(ctx: &HomCtx<'_>, p: usize) -> f64 {
-    fn rec(ctx: &HomCtx<'_>, first: usize, procs_left: usize, current_max: f64, best: &mut f64) {
-        let n = ctx.app.n();
-        if first == n {
-            *best = num::fmin(*best, current_max);
-            return;
-        }
-        if procs_left == 0 {
-            return;
-        }
-        let s = ctx.max_speed();
-        for last in first..n {
-            let cycle = ctx.cycle(first, last, s);
-            for r in 1..=procs_left {
-                let m = num::fmax(current_max, cycle / r as f64);
-                if m < *best {
-                    rec(ctx, last + 1, procs_left - r, m, best);
-                }
-            }
-        }
-    }
-    let mut best = f64::INFINITY;
-    rec(ctx, 0, p, 0.0, &mut best);
-    best
 }
 
 #[cfg(test)]
@@ -437,6 +345,35 @@ mod tests {
 
     fn ctx_for<'a>(app: &'a Application, speeds: &'a [f64]) -> HomCtx<'a> {
         HomCtx::new(app, speeds, 1.0, CommModel::Overlap)
+    }
+
+    /// Exhaustive replicated-period baseline (single application, identical
+    /// processors): enumerate all partitions and factor vectors. Exponential;
+    /// certification only.
+    fn exact_min_period_replicated(ctx: &HomCtx<'_>, p: usize) -> f64 {
+        fn rec(ctx: &HomCtx<'_>, first: usize, procs_left: usize, current_max: f64, best: &mut f64) {
+            let n = ctx.app.n();
+            if first == n {
+                *best = num::fmin(*best, current_max);
+                return;
+            }
+            if procs_left == 0 {
+                return;
+            }
+            let s = ctx.max_speed();
+            for last in first..n {
+                let cycle = ctx.cycle(first, last, s);
+                for r in 1..=procs_left {
+                    let m = num::fmax(current_max, cycle / r as f64);
+                    if m < *best {
+                        rec(ctx, last + 1, procs_left - r, m, best);
+                    }
+                }
+            }
+        }
+        let mut best = f64::INFINITY;
+        rec(ctx, 0, p, 0.0, &mut best);
+        best
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!   infeasibility comes back as [`SolveOutcome::Infeasible`]. Batch
 //!   drivers can therefore run mixed workloads without aborting.
 //! * **Bitwise equivalence.** Routing adds dispatch only: every plan
-//!   executes the same public entry point (or its `*_scratch` core with a
-//!   reusable [`RouterScratch`]) a direct caller would use, so objectives
-//!   and mappings are bit-for-bit identical to the direct calls — proved
+//!   executes the public entry point a direct caller would use, or the
+//!   crate-private `*_scratch` core behind it with a reusable
+//!   [`RouterScratch`], so objectives and mappings are bit-for-bit
+//!   identical to the direct calls — proved
 //!   by `tests/router_equivalence.rs` over random instances under both
 //!   communication models.
 //! * **Fallback policy is explicit.** NP-hard combinations resolve to the
@@ -40,9 +41,9 @@ use crate::bi::period_latency::{
 use crate::dp::DpWorkspace;
 use crate::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use crate::heuristics::{local_search, LocalSearchConfig};
-use crate::pareto::{period_energy_front_with, period_latency_front_with};
+use crate::pareto::{period_energy_front, period_latency_front};
 use crate::solution::{Criterion, MappingKind, Solution};
-use crate::sweep::Sweep;
+use crate::sweep::{FrontPoint, Sweep};
 use cpo_matching::{BenesNetwork, CostMatrix, HungarianWorkspace};
 use cpo_model::prelude::*;
 use cpo_model::spec::FrontEntry;
@@ -692,12 +693,20 @@ fn sweep_of(spec: &ProblemSpec) -> Sweep {
     }
 }
 
-fn front_outcome(spec: &ProblemSpec, entries: Vec<FrontEntry>) -> SolveOutcome {
-    if entries.is_empty() {
-        infeasible(spec)
-    } else {
-        SolveOutcome::Front(entries)
+fn front_outcome(spec: &ProblemSpec, points: Vec<FrontPoint>) -> SolveOutcome {
+    if points.is_empty() {
+        return infeasible(spec);
     }
+    SolveOutcome::Front(
+        points
+            .into_iter()
+            .map(|p| FrontEntry {
+                achieved: p.achieved,
+                objective: p.objective,
+                mapping: SolvedMapping::Plain(p.solution.mapping),
+            })
+            .collect(),
+    )
 }
 
 fn execute(
@@ -871,14 +880,15 @@ fn execute(
             fill_bounds(&mut scratch.lb, &spec.constraints.latency, a);
             from_plain(
                 spec,
-                crate::tri::multimodal::branch_and_bound_tri(
+                crate::tri::multimodal::branch_and_bound_tri_counted(
                     apps,
                     platform,
                     comm,
                     kind_of(spec),
                     &scratch.tb,
                     &scratch.lb,
-                ),
+                )
+                .0,
             )
         }
         Plan::EnergyLocalSearch => {
@@ -921,26 +931,10 @@ fn execute(
             } else {
                 MappingKind::OneToOne
             };
-            let entries = period_energy_front_with(apps, platform, comm, kind, &sweep_of(spec))
-                .into_iter()
-                .map(|p| FrontEntry {
-                    achieved: p.period,
-                    objective: p.energy,
-                    mapping: SolvedMapping::Plain(p.solution.mapping),
-                })
-                .collect();
-            front_outcome(spec, entries)
+            front_outcome(spec, period_energy_front(apps, platform, comm, kind, &sweep_of(spec)))
         }
         Plan::FrontPeriodLatency => {
-            let entries = period_latency_front_with(apps, platform, comm, &sweep_of(spec))
-                .into_iter()
-                .map(|p| FrontEntry {
-                    achieved: p.period,
-                    objective: p.latency,
-                    mapping: SolvedMapping::Plain(p.solution.mapping),
-                })
-                .collect();
-            front_outcome(spec, entries)
+            front_outcome(spec, period_latency_front(apps, platform, comm, &sweep_of(spec)))
         }
         Plan::Benes(base) => {
             let outcome = execute(apps, platform, spec, base.base_plan(), scratch);

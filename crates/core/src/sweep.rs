@@ -71,40 +71,18 @@ impl Sweep {
     }
 }
 
-/// A solved candidate: the achieved primary criterion (e.g. the actual
-/// period of the produced mapping), the minimized objective (e.g. energy)
-/// and the witness solution.
+/// A solved candidate and, once kept by the dominance filter, a point of
+/// the swept front: the achieved primary criterion (e.g. the actual period
+/// of the produced mapping), the minimized objective (e.g. energy) and the
+/// witness solution.
 #[derive(Debug, Clone)]
-pub struct Scored {
+pub struct FrontPoint {
     /// Achieved primary criterion of the witness mapping.
     pub achieved: f64,
     /// Minimized objective value; must be non-increasing in the threshold.
     pub objective: f64,
     /// The witness mapping.
     pub solution: Solution,
-}
-
-/// One kept point of a swept front.
-#[derive(Debug, Clone)]
-pub struct FrontPoint {
-    /// The candidate threshold that produced the point.
-    pub threshold: f64,
-    /// Achieved primary criterion of the witness mapping.
-    pub achieved: f64,
-    /// Objective value at this point.
-    pub objective: f64,
-    /// The witness mapping.
-    pub solution: Solution,
-}
-
-/// Statistics of one sweep run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Total number of candidates.
-    pub candidates: usize,
-    /// Number of candidates actually solved (= `candidates` without
-    /// pruning).
-    pub solves: usize,
 }
 
 /// A deterministic per-candidate solver with reusable per-thread state.
@@ -122,7 +100,7 @@ pub trait CandidateSolver: Sync {
     fn make_state(&self) -> Self::State;
 
     /// Solve one candidate threshold; `None` when infeasible.
-    fn solve(&self, state: &mut Self::State, threshold: f64) -> Option<Scored>;
+    fn solve(&self, state: &mut Self::State, threshold: f64) -> Option<FrontPoint>;
 }
 
 /// Sweep the front over the sorted candidate thresholds. See the module
@@ -132,19 +110,10 @@ pub fn sweep_front<S: CandidateSolver>(
     solver: &S,
     cfg: &Sweep,
 ) -> Vec<FrontPoint> {
-    sweep_front_with_stats(candidates, solver, cfg).0
-}
-
-/// [`sweep_front`] also reporting how many candidates were solved.
-pub fn sweep_front_with_stats<S: CandidateSolver>(
-    candidates: &[f64],
-    solver: &S,
-    cfg: &Sweep,
-) -> (Vec<FrontPoint>, SweepStats) {
     let c = candidates.len();
     // solved[i]: None = never solved; Some(None) = solved, infeasible;
     // Some(Some(s)) = solved, feasible.
-    let mut solved: Vec<Option<Option<Scored>>> = vec![None; c];
+    let mut solved: Vec<Option<Option<FrontPoint>>> = vec![None; c];
 
     if c > 0 {
         if cfg.prune {
@@ -179,34 +148,22 @@ pub fn sweep_front_with_stats<S: CandidateSolver>(
         }
     }
 
-    let solves = solved.iter().filter(|s| s.is_some()).count();
-
     // Dominance filter, identical to the naive ascending scan: keep a
     // solved, feasible candidate exactly when its objective strictly
     // improves on the last kept point.
-    let mut points = Vec::new();
-    for (i, slot) in solved.into_iter().enumerate() {
-        if let Some(Some(s)) = slot {
-            if points
-                .last()
-                .is_none_or(|last: &FrontPoint| num::lt(s.objective, last.objective))
-            {
-                points.push(FrontPoint {
-                    threshold: candidates[i],
-                    achieved: s.achieved,
-                    objective: s.objective,
-                    solution: s.solution,
-                });
-            }
+    let mut points: Vec<FrontPoint> = Vec::new();
+    for s in solved.into_iter().flatten().flatten() {
+        if points.last().is_none_or(|last| num::lt(s.objective, last.objective)) {
+            points.push(s);
         }
     }
-    (points, SweepStats { candidates: c, solves })
+    points
 }
 
 /// Bitwise objective equality of two solved slots (both-infeasible counts
 /// as equal). Intentionally stricter than `num::approx_eq`: pruning on
 /// approximate equality could skip a candidate the naive filter keeps.
-fn pinned_equal(a: &Option<Option<Scored>>, b: &Option<Option<Scored>>) -> bool {
+fn pinned_equal(a: &Option<Option<FrontPoint>>, b: &Option<Option<FrontPoint>>) -> bool {
     match (a.as_ref().expect("endpoint solved"), b.as_ref().expect("endpoint solved")) {
         (None, None) => true,
         (Some(x), Some(y)) => x.objective == y.objective,
@@ -222,7 +179,7 @@ fn solve_batch<S: CandidateSolver>(
     candidates: &[f64],
     solver: &S,
     threads: usize,
-    solved: &mut [Option<Option<Scored>>],
+    solved: &mut [Option<Option<FrontPoint>>],
 ) {
     if idxs.is_empty() {
         return;
@@ -294,13 +251,13 @@ mod tests {
 
         fn make_state(&self) {}
 
-        fn solve(&self, _state: &mut (), t: f64) -> Option<Scored> {
+        fn solve(&self, _state: &mut (), t: f64) -> Option<FrontPoint> {
             self.calls.fetch_add(1, Ordering::Relaxed);
             if t < self.feasible_from {
                 return None;
             }
             let objective = self.objective(t);
-            Some(Scored { achieved: t, objective, solution: Solution::new(Mapping::new(), objective) })
+            Some(FrontPoint { achieved: t, objective, solution: Solution::new(Mapping::new(), objective) })
         }
     }
 
@@ -312,31 +269,29 @@ mod tests {
         vec![(5.0, 90.0), (13.7, 41.0), (50.0, 12.0), (51.3, 7.0), (99.0, 1.0)]
     }
 
-    fn front_signature(points: &[FrontPoint]) -> Vec<(u64, u64, u64)> {
-        points
-            .iter()
-            .map(|p| (p.threshold.to_bits(), p.achieved.to_bits(), p.objective.to_bits()))
-            .collect()
+    /// The step solver achieves exactly its threshold, so `achieved` also
+    /// identifies the candidate that produced each point.
+    fn front_signature(points: &[FrontPoint]) -> Vec<(u64, u64)> {
+        points.iter().map(|p| (p.achieved.to_bits(), p.objective.to_bits())).collect()
     }
 
     #[test]
     fn pruned_equals_exhaustive_and_solves_fewer() {
         let cands = candidates();
         let naive_solver = StepSolver::new(5.0, steps());
-        let (naive, naive_stats) =
-            sweep_front_with_stats(&cands, &naive_solver, &Sweep::exhaustive());
+        let naive = sweep_front(&cands, &naive_solver, &Sweep::exhaustive());
         assert_eq!(naive.len(), 5);
-        assert_eq!(naive_stats.solves, cands.len());
+        assert_eq!(naive_solver.calls.load(Ordering::Relaxed), cands.len());
 
         let pruned_solver = StepSolver::new(5.0, steps());
-        let (pruned, stats) = sweep_front_with_stats(&cands, &pruned_solver, &Sweep::serial());
+        let pruned = sweep_front(&cands, &pruned_solver, &Sweep::serial());
         assert_eq!(front_signature(&naive), front_signature(&pruned));
-        assert_eq!(stats.solves, pruned_solver.calls.load(Ordering::Relaxed));
+        let solves = pruned_solver.calls.load(Ordering::Relaxed);
         assert!(
-            stats.solves < cands.len() / 4,
+            solves < cands.len() / 4,
             "pruning should skip most of the {} candidates, solved {}",
             cands.len(),
-            stats.solves
+            solves
         );
     }
 
@@ -359,10 +314,10 @@ mod tests {
     fn all_infeasible_yields_empty_front_cheaply() {
         let cands = candidates();
         let solver = StepSolver::new(f64::INFINITY, steps());
-        let (points, stats) = sweep_front_with_stats(&cands, &solver, &Sweep::serial());
+        let points = sweep_front(&cands, &solver, &Sweep::serial());
         assert!(points.is_empty());
         // Equal (infeasible) endpoints prune the entire interior.
-        assert_eq!(stats.solves, 2);
+        assert_eq!(solver.calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -373,7 +328,7 @@ mod tests {
         let pruned = sweep_front(&cands, &solver, &Sweep::serial());
         assert_eq!(naive.len(), 1);
         assert_eq!(front_signature(&naive), front_signature(&pruned));
-        assert_eq!(pruned[0].threshold, 0.0);
+        assert_eq!(pruned[0].achieved, 0.0);
     }
 
     #[test]

@@ -228,18 +228,6 @@ pub fn branch_and_bound_tri_counted(
     (bnb.best, bnb.nodes)
 }
 
-/// [`branch_and_bound_tri_counted`] without the node count.
-pub fn branch_and_bound_tri(
-    apps: &AppSet,
-    platform: &Platform,
-    model: CommModel,
-    kind: MappingKind,
-    period_bounds: &[f64],
-    latency_bounds: &[f64],
-) -> Option<Solution> {
-    branch_and_bound_tri_counted(apps, platform, model, kind, period_bounds, latency_bounds).0
-}
-
 /// Tri-criteria feasibility: does a mapping with period, latency and energy
 /// all within bounds exist?
 pub fn tri_feasible(
@@ -251,7 +239,7 @@ pub fn tri_feasible(
     latency_bounds: &[f64],
     energy_budget: f64,
 ) -> bool {
-    branch_and_bound_tri(apps, platform, model, kind, period_bounds, latency_bounds)
+    branch_and_bound_tri_counted(apps, platform, model, kind, period_bounds, latency_bounds).0
         .map(|s| num::le(s.objective, energy_budget))
         .unwrap_or(false)
 }
@@ -267,14 +255,15 @@ mod tests {
     fn matches_exhaustive_on_section2() {
         let (apps, pf) = section2_example();
         for (tb, lb) in [(2.0, 1e9), (14.0, 1e9), (2.0, 6.0), (1.0, 4.0)] {
-            let bnb = branch_and_bound_tri(
+            let bnb = branch_and_bound_tri_counted(
                 &apps,
                 &pf,
                 CommModel::Overlap,
                 MappingKind::Interval,
                 &[tb, tb],
                 &[lb, lb],
-            );
+            )
+            .0;
             let cfg = ExactConfig {
                 kind: MappingKind::Interval,
                 model: CommModel::Overlap,
@@ -300,7 +289,7 @@ mod tests {
     #[test]
     fn section2_compromise_found() {
         let (apps, pf) = section2_example();
-        let sol = branch_and_bound_tri(
+        let sol = branch_and_bound_tri_counted(
             &apps,
             &pf,
             CommModel::Overlap,
@@ -308,6 +297,7 @@ mod tests {
             &[2.0, 2.0],
             &[1e9, 1e9],
         )
+        .0
         .unwrap();
         assert!((sol.objective - 46.0).abs() < 1e-9);
     }
@@ -316,7 +306,7 @@ mod tests {
     fn one_to_one_mode() {
         let apps = AppSet::single(Application::from_pairs(0.0, &[(4.0, 0.0), (2.0, 0.0)]));
         let pf = Platform::fully_homogeneous(2, vec![1.0, 2.0, 4.0], 1.0).unwrap();
-        let sol = branch_and_bound_tri(
+        let sol = branch_and_bound_tri_counted(
             &apps,
             &pf,
             CommModel::Overlap,
@@ -324,6 +314,7 @@ mod tests {
             &[2.0],
             &[1e9],
         )
+        .0
         .unwrap();
         assert!(sol.mapping.is_one_to_one());
         // Stage 4 needs speed 2 (energy 4), stage 2 needs speed 1 (1) → 5.
@@ -334,7 +325,7 @@ mod tests {
     fn infeasible_bounds() {
         let apps = AppSet::single(Application::from_pairs(0.0, &[(4.0, 0.0)]));
         let pf = Platform::fully_homogeneous(1, vec![1.0, 2.0], 1.0).unwrap();
-        assert!(branch_and_bound_tri(
+        assert!(branch_and_bound_tri_counted(
             &apps,
             &pf,
             CommModel::Overlap,
@@ -342,6 +333,7 @@ mod tests {
             &[1.0],
             &[1e9]
         )
+        .0
         .is_none());
         assert!(!tri_feasible(
             &apps,

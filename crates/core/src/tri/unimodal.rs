@@ -14,23 +14,21 @@
 //!   application, the fewest processors that satisfy both).
 
 use crate::bi::period_latency::{min_latency_under_period_scratch, min_period_under_latency_on};
-use crate::dp::{latency_dp, DpScratch, DpWorkspace, HomCtx, IntervalCostTable};
+use crate::dp::{latency_dp, DpScratch, DpWorkspace, IntervalCostTable};
 use crate::mono::period_interval::mapping_from_partitions;
 use crate::solution::Solution;
 use cpo_model::num;
 use cpo_model::prelude::*;
 
-/// Shared setup: fully homogeneous + uni-modal, returns
-/// `(speed, e_stat, per-processor energy)`. The per-application
-/// communication structure comes from [`Platform::uniform_comm`].
-fn unimodal_params(platform: &Platform) -> Option<(f64, f64, f64)> {
-    if platform.class() != PlatformClass::FullyHomogeneous || !platform.is_uni_modal() {
+/// Energy of one enrolled processor, `E_stat + s^α`; `None` unless every
+/// processor is uni-modal. The fully homogeneous check and the
+/// per-application setup are [`crate::bi::interval_cost_tables`]'.
+fn energy_per_proc(platform: &Platform) -> Option<f64> {
+    if !platform.is_uni_modal() {
         return None;
     }
     let proc = &platform.procs[0];
-    let s = proc.max_speed();
-    let e_per_proc = proc.e_stat + EnergyModel::default().dynamic(s);
-    Some((s, proc.e_stat, e_per_proc))
+    Some(proc.e_stat + EnergyModel::default().dynamic(proc.max_speed()))
 }
 
 /// Number of processors affordable under `energy_budget`.
@@ -56,7 +54,7 @@ pub fn min_period_tri_unimodal(
     latency_bounds: &[f64],
     energy_budget: f64,
 ) -> Option<Solution> {
-    let (_, _, e_per_proc) = unimodal_params(platform)?;
+    let e_per_proc = energy_per_proc(platform)?;
     let k = proc_cap(platform.p(), e_per_proc, energy_budget);
     min_period_under_latency_on(apps, platform, model, latency_bounds, k)
 }
@@ -70,7 +68,7 @@ pub fn min_latency_tri_unimodal(
     period_bounds: &[f64],
     energy_budget: f64,
 ) -> Option<Solution> {
-    let (_, _, e_per_proc) = unimodal_params(platform)?;
+    let e_per_proc = energy_per_proc(platform)?;
     let k = proc_cap(platform.p(), e_per_proc, energy_budget);
     let tables = crate::bi::interval_cost_tables(apps, platform, model)?;
     let mut workspace = DpWorkspace::new();
@@ -89,28 +87,21 @@ pub fn min_energy_tri_unimodal(
 ) -> Option<Solution> {
     assert_eq!(period_bounds.len(), apps.a());
     assert_eq!(latency_bounds.len(), apps.a());
-    let (_, _, _e_per_proc) = unimodal_params(platform)?;
-    let speeds = platform.procs[0].speeds().to_vec();
+    energy_per_proc(platform)?;
     let p = platform.p();
-    let a_count = apps.a();
-    if p < a_count {
-        return None;
-    }
-    let qmax = p - a_count + 1;
-    let mut partitions = Vec::with_capacity(a_count);
-    let mut total_procs = 0usize;
+    let qmax = (p + 1).saturating_sub(apps.a());
     let mut scratch = DpScratch::new();
-    for (a, app) in apps.apps.iter().enumerate() {
-        let comm = platform.uniform_comm(a)?;
-        let ctx = HomCtx::with_comm(app, &speeds, comm, model);
-        latency_dp(&IntervalCostTable::build(&ctx), period_bounds[a], qmax, &mut scratch);
-        // Fewest processors meeting the latency bound.
+    // Per application, the fewest processors meeting the latency bound and
+    // their partition; each cost table is dropped once its DP has run.
+    let picks = crate::bi::cost_tables(apps, platform, model, |a, ctx| {
+        let table = IntervalCostTable::build(ctx);
+        latency_dp(&table, period_bounds[a], qmax, &mut scratch);
         let q = (1..=qmax).find(|&q| num::le(scratch.best_row()[q - 1], latency_bounds[a]))?;
-        let top = speeds.len() - 1;
-        partitions.push(scratch.latency_partition(q, top).expect("feasible q"));
-        total_procs += q;
-    }
-    if total_procs > p {
+        Some((q, scratch.latency_partition(q, table.modes() - 1).expect("feasible q")))
+    })?;
+    let (counts, partitions): (Vec<usize>, Vec<_>) =
+        picks.into_iter().collect::<Option<Vec<_>>>()?.into_iter().unzip();
+    if counts.iter().sum::<usize>() > p {
         return None;
     }
     let mapping = mapping_from_partitions(&partitions);
@@ -291,7 +282,8 @@ mod tests {
                 ..Default::default()
             };
             let pf = random_fully_homogeneous(&pf_cfg, seed ^ 0x24);
-            let (s, _, e_per_proc) = unimodal_params(&pf).expect("uni-modal fully homogeneous");
+            let s = pf.procs[0].max_speed();
+            let e_per_proc = energy_per_proc(&pf).expect("uni-modal");
             let budget = e_per_proc * f64::from(cap_tenths) / 10.0;
             let k = proc_cap(pf.p(), e_per_proc, budget);
             let capped = (k > 0)

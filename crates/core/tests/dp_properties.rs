@@ -3,8 +3,8 @@
 //! `exact` module — a genuinely different oracle).
 
 use cpo_core::dp::{
-    energy_dp, energy_under_period, latency_dp, latency_under_period, min_period_under_latency,
-    period_table, DpScratch, HomCtx, IntervalCostTable,
+    energy_dp, energy_under_period, latency_dp, latency_under_period,
+    min_period_under_latency_probe, period_table, DpScratch, HomCtx, IntervalCostTable,
 };
 use cpo_model::application::Application;
 use cpo_model::energy::EnergyModel;
@@ -136,7 +136,7 @@ proptest! {
 
     #[test]
     fn duality_roundtrip(seed in 0u64..100_000, qi in 1usize..5) {
-        // min_period_under_latency(l*) where l* is the unconstrained optimal
+        // min_period_under_latency_probe(l*) where l* is the unconstrained optimal
         // latency must return the period achievable at that latency; and
         // latency_under_period at that period must give back l* or better.
         let app = random_app(seed);
@@ -144,7 +144,15 @@ proptest! {
         let ctx = HomCtx::new(&app, &speeds, 1.0, CommModel::Overlap);
         let l_star = latency_under_period(&ctx, f64::INFINITY, qi).best_row()[qi - 1];
         prop_assert!(l_star.is_finite());
-        let (t, _) = min_period_under_latency(&ctx, l_star, qi).expect("l* is achievable");
+        let table = IntervalCostTable::build(&ctx);
+        let t = min_period_under_latency_probe(
+            &table,
+            &table.candidates(),
+            l_star,
+            qi,
+            &mut DpScratch::new(),
+        )
+        .expect("l* is achievable");
         let l_back = latency_under_period(&ctx, t, qi).best_row()[qi - 1];
         prop_assert!(l_back <= l_star + 1e-9, "{l_back} vs {l_star}");
     }

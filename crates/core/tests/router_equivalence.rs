@@ -294,9 +294,10 @@ proptest! {
         spec.hints.exact_fallback = true;
         assert_same_plain(
             &router::route(&apps, &pf, &spec),
-            &branch_and_bound_tri(
+            &branch_and_bound_tri_counted(
                 &apps, &pf, CommModel::Overlap, MappingKind::Interval, &tb, &lb,
-            ),
+            )
+            .0,
             "bnb",
         );
         // Period with latency bounds on a non-fully-hom platform →
@@ -362,23 +363,95 @@ proptest! {
                 ProblemSpec::new(Objective::PeriodEnergyFront, Strategy::Interval, model);
             spec.hints.sweep_threads = Some(2);
             let routed = router::route(&apps, &pf, &spec);
-            let direct = period_energy_front_with(&apps, &pf, model, MappingKind::Interval, &sweep);
-            assert_front_eq(&routed, direct.iter().map(|p| (p.period, p.energy, &p.solution)));
+            let direct = period_energy_front(&apps, &pf, model, MappingKind::Interval, &sweep);
+            assert_front_eq(&routed, direct.iter().map(|p| (p.achieved, p.objective, &p.solution)));
 
             let mut spec =
                 ProblemSpec::new(Objective::PeriodLatencyFront, Strategy::Interval, model);
             spec.hints.sweep_threads = Some(2);
             let routed = router::route(&apps, &pf, &spec);
-            let direct = period_latency_front_with(&apps, &pf, model, &sweep);
-            assert_front_eq(&routed, direct.iter().map(|p| (p.period, p.latency, &p.solution)));
+            let direct = period_latency_front(&apps, &pf, model, &sweep);
+            assert_front_eq(&routed, direct.iter().map(|p| (p.achieved, p.objective, &p.solution)));
 
             let (apps, pf) = comm_hom_instance(seed);
             let mut spec =
                 ProblemSpec::new(Objective::PeriodEnergyFront, Strategy::OneToOne, model);
             spec.hints.sweep_threads = Some(2);
             let routed = router::route(&apps, &pf, &spec);
-            let direct = period_energy_front_with(&apps, &pf, model, MappingKind::OneToOne, &sweep);
-            assert_front_eq(&routed, direct.iter().map(|p| (p.period, p.energy, &p.solution)));
+            let direct = period_energy_front(&apps, &pf, model, MappingKind::OneToOne, &sweep);
+            assert_front_eq(&routed, direct.iter().map(|p| (p.achieved, p.objective, &p.solution)));
+        }
+    }
+}
+
+/// `pf` with its uniform bandwidth spelled out as full `Heterogeneous`
+/// matrices: the same platform, link for link.
+fn spelled_out(pf: &Platform, apps: usize) -> Platform {
+    let b = match pf.links {
+        Links::Uniform(b) => b,
+        ref other => panic!("expected uniform links, got {other:?}"),
+    };
+    let row = vec![b; pf.p()];
+    let links = Links::Heterogeneous {
+        inter: vec![row.clone(); pf.p()],
+        input: vec![row.clone(); apps],
+        output: vec![row; apps],
+    };
+    Platform::new(pf.procs.clone(), links).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A `Heterogeneous` matrix holding one bandwidth is the `Uniform`
+    /// platform: both spellings plan the same polynomial solver and route
+    /// to bitwise-identical outcomes (a class check that accepted the
+    /// matrix while the solver rejected it answered `Infeasible`).
+    #[test]
+    fn uniform_link_spellings_route_identically(seed in 0u64..100_000) {
+        for model in MODELS {
+            let (apps, pf) = fully_hom_instance(seed, (2, 3));
+            let tb = bounds_for(&apps, 1);
+            let specs = [
+                (ProblemSpec::new(Objective::Period, Strategy::Interval, model), "interval"),
+                (ProblemSpec::new(Objective::Period, Strategy::Replicated, model), "replicated"),
+                (
+                    ProblemSpec::new(Objective::Energy, Strategy::Interval, model)
+                        .with_period_bounds(tb.clone()),
+                    "energy",
+                ),
+                (
+                    ProblemSpec::new(Objective::Energy, Strategy::Replicated, model)
+                        .with_period_bounds(tb.clone()),
+                    "replicated energy",
+                ),
+                (ProblemSpec::new(Objective::PeriodEnergyFront, Strategy::Interval, model), "energy front"),
+                (ProblemSpec::new(Objective::PeriodLatencyFront, Strategy::Interval, model), "latency front"),
+            ];
+            let (capps, cpf) = comm_hom_instance(seed);
+            let one_to_one = [
+                (ProblemSpec::new(Objective::Period, Strategy::OneToOne, model), "one-to-one"),
+                (
+                    ProblemSpec::new(Objective::Energy, Strategy::OneToOne, model)
+                        .with_period_bounds(bounds_for(&capps, 1)),
+                    "matching",
+                ),
+                (ProblemSpec::new(Objective::PeriodEnergyFront, Strategy::OneToOne, model), "matching front"),
+            ];
+            let cases = specs
+                .iter()
+                .map(|(spec, what)| (&apps, &pf, spec, what))
+                .chain(one_to_one.iter().map(|(spec, what)| (&capps, &cpf, spec, what)));
+            for (apps, pf, spec, what) in cases {
+                let matrix = spelled_out(pf, apps.a());
+                prop_assert_eq!(pf.class(), matrix.class());
+                let planned = router::plan(apps, pf, spec);
+                prop_assert!(planned.is_ok(), "{}: {:?}", what, planned);
+                prop_assert_eq!(&planned, &router::plan(apps, &matrix, spec), "{}", what);
+                let uniform = format!("{:?}", router::route(apps, pf, spec));
+                let spelled = format!("{:?}", router::route(apps, &matrix, spec));
+                prop_assert_eq!(uniform, spelled, "{}", what);
+            }
         }
     }
 }

@@ -4,11 +4,9 @@
 //! fully-homogeneous (interval DP) and comm-homogeneous (one-to-one
 //! matching) instances.
 
-use cpo_core::pareto::{
-    period_energy_front_with, period_latency_front_with, ParetoPoint,
-};
+use cpo_core::pareto::{period_energy_front, period_latency_front};
 use cpo_core::solution::MappingKind;
-use cpo_core::sweep::Sweep;
+use cpo_core::sweep::{FrontPoint, Sweep};
 use cpo_model::generator::{
     random_apps, random_comm_homogeneous, random_fully_homogeneous, AppGenConfig,
     PlatformGenConfig,
@@ -16,11 +14,11 @@ use cpo_model::generator::{
 use cpo_model::prelude::*;
 use proptest::prelude::*;
 
-fn assert_fronts_identical(naive: &[ParetoPoint], fast: &[ParetoPoint], what: &str) {
+fn assert_fronts_identical(naive: &[FrontPoint], fast: &[FrontPoint], what: &str) {
     assert_eq!(naive.len(), fast.len(), "{what}: point counts differ");
     for (i, (n, f)) in naive.iter().zip(fast).enumerate() {
-        assert_eq!(n.period.to_bits(), f.period.to_bits(), "{what}: period of point {i}");
-        assert_eq!(n.energy.to_bits(), f.energy.to_bits(), "{what}: energy of point {i}");
+        assert_eq!(n.achieved.to_bits(), f.achieved.to_bits(), "{what}: period of point {i}");
+        assert_eq!(n.objective.to_bits(), f.objective.to_bits(), "{what}: energy of point {i}");
         assert_eq!(n.solution.mapping, f.solution.mapping, "{what}: mapping of point {i}");
     }
 }
@@ -39,10 +37,10 @@ proptest! {
             seed ^ 0x9e37,
         );
         for model in CommModel::ALL {
-            let naive = period_energy_front_with(
+            let naive = period_energy_front(
                 &apps, &pf, model, MappingKind::Interval, &Sweep::exhaustive(),
             );
-            let fast = period_energy_front_with(
+            let fast = period_energy_front(
                 &apps, &pf, model, MappingKind::Interval, &Sweep::with_threads(threads),
             );
             assert_fronts_identical(&naive, &fast, "interval");
@@ -64,10 +62,10 @@ proptest! {
             seed ^ 0x51_7c,
         );
         for model in CommModel::ALL {
-            let naive = period_energy_front_with(
+            let naive = period_energy_front(
                 &apps, &pf, model, MappingKind::OneToOne, &Sweep::exhaustive(),
             );
-            let fast = period_energy_front_with(
+            let fast = period_energy_front(
                 &apps, &pf, model, MappingKind::OneToOne, &Sweep::with_threads(threads),
             );
             assert_fronts_identical(&naive, &fast, "one-to-one");
@@ -89,13 +87,13 @@ proptest! {
             seed ^ 0xab_cd,
         );
         for model in CommModel::ALL {
-            let naive = period_latency_front_with(&apps, &pf, model, &Sweep::exhaustive());
+            let naive = period_latency_front(&apps, &pf, model, &Sweep::exhaustive());
             let fast =
-                period_latency_front_with(&apps, &pf, model, &Sweep::with_threads(threads));
+                period_latency_front(&apps, &pf, model, &Sweep::with_threads(threads));
             assert_eq!(naive.len(), fast.len(), "point counts differ");
             for (i, (n, f)) in naive.iter().zip(&fast).enumerate() {
-                assert_eq!(n.period.to_bits(), f.period.to_bits(), "period of point {i}");
-                assert_eq!(n.latency.to_bits(), f.latency.to_bits(), "latency of point {i}");
+                assert_eq!(n.achieved.to_bits(), f.achieved.to_bits(), "period of point {i}");
+                assert_eq!(n.objective.to_bits(), f.objective.to_bits(), "latency of point {i}");
                 assert_eq!(n.solution.mapping, f.solution.mapping, "mapping of point {i}");
                 prop_assert!(n.solution.mapping.validate(&apps, &pf).is_ok());
             }
@@ -115,10 +113,10 @@ proptest! {
             &PlatformGenConfig { procs: 4, modes: (2, 2), ..Default::default() },
             seed ^ 0x77,
         );
-        let naive = period_energy_front_with(
+        let naive = period_energy_front(
             &apps, &pf, CommModel::Overlap, MappingKind::Interval, &Sweep::exhaustive(),
         );
-        let fast = period_energy_front_with(
+        let fast = period_energy_front(
             &apps, &pf, CommModel::Overlap, MappingKind::Interval, &Sweep::with_threads(2),
         );
         assert_fronts_identical(&naive, &fast, "weighted interval");

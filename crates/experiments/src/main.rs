@@ -47,6 +47,7 @@
 
 use cpo_core::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use cpo_core::heuristics::{local_search, LocalSearchConfig};
+use cpo_core::sweep::Sweep;
 use cpo_core::tri::multimodal::{branch_and_bound_tri_counted, tri_feasible};
 use cpo_core::{plan, route, Criterion, MappingKind, Plan};
 use cpo_experiments::serve_cli;
@@ -198,14 +199,15 @@ fn table2() -> bool {
         let bounds = [tb, tb];
         let lat = [f64::INFINITY, f64::INFINITY];
         if let (Some(ex), Some(ls)) = (
-            cpo_core::tri::multimodal::branch_and_bound_tri(
+            cpo_core::tri::multimodal::branch_and_bound_tri_counted(
                 &apps,
                 &pf,
                 CommModel::Overlap,
                 MappingKind::Interval,
                 &bounds,
                 &lat,
-            ),
+            )
+            .0,
             local_search(
                 &apps,
                 &pf,
@@ -608,10 +610,10 @@ fn pareto() {
         println!("\n### {title}\n");
         println!("| period <= | min energy | processors |");
         println!("|---|---|---|");
-        let kind = MappingKind::Interval;
-        for pt in cpo_core::pareto::period_energy_front(&apps, &pf, CommModel::Overlap, kind) {
+        let (kind, sweep) = (MappingKind::Interval, Sweep::default());
+        for pt in cpo_core::pareto::period_energy_front(&apps, &pf, CommModel::Overlap, kind, &sweep) {
             let procs = pt.solution.mapping.enrolled();
-            println!("| {:.3} | {:.digits$} | {procs} |", pt.period, pt.energy);
+            println!("| {:.3} | {:.digits$} | {procs} |", pt.achieved, pt.objective);
         }
     }
 }
@@ -1059,7 +1061,6 @@ fn main() {
                 datasets,
                 stats_secs: u64_flag("--stats-secs", defaults.stats_secs),
                 downgrade: args.iter().any(|a| a == "--downgrade"),
-                cost_per_ms: u64_flag("--cost-per-ms", defaults.cost_per_ms).max(1),
             };
             std::process::exit(serve_cli::cmd_serve(opts));
         }
@@ -1089,7 +1090,7 @@ fn main() {
             eprintln!(
                 "       cpo-experiments serve [--once] [--socket PATH] [--threads N] \
                  [--queue N] [--rate R] [--burst B] [--strikes K] [--check] [--datasets N] \
-                 [--stats-secs S] [--downgrade] [--cost-per-ms U]"
+                 [--stats-secs S] [--downgrade]"
             );
             eprintln!("       cpo-experiments spec-example [batch|large|benes]");
             std::process::exit(2);

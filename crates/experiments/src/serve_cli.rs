@@ -54,8 +54,6 @@ pub struct ServeCliOptions {
     pub stats_secs: u64,
     /// Enable the deadline heuristic-downgrade path.
     pub downgrade: bool,
-    /// Deadline calibration, cost units per millisecond.
-    pub cost_per_ms: u64,
 }
 
 impl Default for ServeCliOptions {
@@ -72,7 +70,6 @@ impl Default for ServeCliOptions {
             datasets: 64,
             stats_secs: 10,
             downgrade: false,
-            cost_per_ms: cpo_serve::DEFAULT_COST_UNITS_PER_MS,
         }
     }
 }
@@ -204,7 +201,6 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
         burst: opts.burst,
         strikes: opts.strikes,
         deadline_downgrade: opts.downgrade,
-        cost_units_per_ms: opts.cost_per_ms,
         engine: engine.clone(),
         chaos,
     };

@@ -44,27 +44,29 @@ pub struct Application {
     work_prefix: Vec<f64>,
 }
 
+/// The serialized fields of an [`Application`], before validation.
+#[derive(Deserialize)]
+struct RawApplication {
+    input: f64,
+    stages: Vec<Stage>,
+    weight: f64,
+    #[serde(default)]
+    name: String,
+}
+
+impl RawApplication {
+    fn build(self) -> Result<Application, ModelError> {
+        let name = if self.name.is_empty() { "app".to_string() } else { self.name };
+        Application::named(name, self.input, self.stages, self.weight)
+    }
+}
+
 impl<'de> Deserialize<'de> for Application {
     /// Deserialize through the validating constructor so the prefix-sum
     /// cache is always rebuilt (and invalid stage data rejected) — archived
     /// JSON can be hand-edited safely.
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Raw {
-            input: f64,
-            stages: Vec<Stage>,
-            weight: f64,
-            #[serde(default)]
-            name: String,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        Application::named(
-            if raw.name.is_empty() { "app".to_string() } else { raw.name },
-            raw.input,
-            raw.stages,
-            raw.weight,
-        )
-        .map_err(serde::de::Error::custom)
+        RawApplication::deserialize(deserializer)?.build().map_err(serde::de::Error::custom)
     }
 }
 
@@ -85,17 +87,17 @@ impl Application {
             return Err(ModelError::EmptyApplication);
         }
         if !(weight.is_finite() && weight > 0.0) {
-            return Err(ModelError::InvalidWeight { app: usize::MAX });
+            return Err(ModelError::InvalidWeight { app: None });
         }
         if !(input.is_finite() && input >= 0.0) {
-            return Err(ModelError::InvalidStage { app: usize::MAX, stage: 0, reason: "invalid input size" });
+            return Err(ModelError::InvalidStage { app: None, stage: 0, reason: "invalid input size" });
         }
         for (k, st) in stages.iter().enumerate() {
             if !(st.work.is_finite() && st.work >= 0.0) {
-                return Err(ModelError::InvalidStage { app: usize::MAX, stage: k, reason: "negative or non-finite work" });
+                return Err(ModelError::InvalidStage { app: None, stage: k, reason: "negative or non-finite work" });
             }
             if !(st.output.is_finite() && st.output >= 0.0) {
-                return Err(ModelError::InvalidStage { app: usize::MAX, stage: k, reason: "negative or non-finite output size" });
+                return Err(ModelError::InvalidStage { app: None, stage: k, reason: "negative or non-finite output size" });
             }
         }
         let mut work_prefix = Vec::with_capacity(stages.len() + 1);
@@ -158,10 +160,29 @@ impl Application {
 }
 
 /// The set of `A` concurrent applications.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AppSet {
     /// The applications, indexed by `a ∈ {0, …, A-1}`.
     pub apps: Vec<Application>,
+}
+
+impl<'de> Deserialize<'de> for AppSet {
+    /// Validate each application like [`Application`]'s own deserializer,
+    /// and name the rejected application by its index in the set.
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            apps: Vec<RawApplication>,
+        }
+        let apps = Raw::deserialize(deserializer)?
+            .apps
+            .into_iter()
+            .enumerate()
+            .map(|(a, raw)| raw.build().map_err(|e| e.in_app(a)))
+            .collect::<Result<_, _>>()
+            .map_err(serde::de::Error::custom)?;
+        Ok(AppSet { apps })
+    }
 }
 
 impl AppSet {

@@ -8,10 +8,11 @@ pub enum ModelError {
     /// An application must contain at least one stage.
     EmptyApplication,
     /// Stage computation requirements and data sizes must be finite and
-    /// non-negative.
-    InvalidStage { app: usize, stage: usize, reason: &'static str },
+    /// non-negative. `app` is the application's index in its
+    /// [`AppSet`](crate::application::AppSet), when the error arose there.
+    InvalidStage { app: Option<usize>, stage: usize, reason: &'static str },
     /// Application weights `W_a` must be strictly positive (Eq. 6).
-    InvalidWeight { app: usize },
+    InvalidWeight { app: Option<usize> },
     /// A processor needs at least one speed, all strictly positive.
     InvalidProcessor { proc: usize, reason: &'static str },
     /// Bandwidths must be strictly positive and finite.
@@ -29,11 +30,17 @@ impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ModelError::EmptyApplication => write!(f, "application has no stage"),
-            ModelError::InvalidStage { app, stage, reason } => {
-                write!(f, "invalid stage S_{}^{}: {}", app, stage, reason)
+            ModelError::InvalidStage { app: Some(a), stage, reason } => {
+                write!(f, "invalid stage S_{}^{}: {}", a, stage, reason)
             }
-            ModelError::InvalidWeight { app } => {
-                write!(f, "application {} has a non-positive weight", app)
+            ModelError::InvalidStage { app: None, stage, reason } => {
+                write!(f, "invalid stage {}: {}", stage, reason)
+            }
+            ModelError::InvalidWeight { app: Some(a) } => {
+                write!(f, "application {} has a non-positive weight", a)
+            }
+            ModelError::InvalidWeight { app: None } => {
+                write!(f, "application has a non-positive weight")
             }
             ModelError::InvalidProcessor { proc, reason } => {
                 write!(f, "invalid processor P_{}: {}", proc, reason)
@@ -50,6 +57,19 @@ impl fmt::Display for ModelError {
     }
 }
 
+impl ModelError {
+    /// Tag an application-level error with the application's index `a`.
+    pub(crate) fn in_app(self, a: usize) -> Self {
+        match self {
+            ModelError::InvalidStage { stage, reason, .. } => {
+                ModelError::InvalidStage { app: Some(a), stage, reason }
+            }
+            ModelError::InvalidWeight { .. } => ModelError::InvalidWeight { app: Some(a) },
+            other => other,
+        }
+    }
+}
+
 impl std::error::Error for ModelError {}
 
 #[cfg(test)]
@@ -58,7 +78,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = ModelError::InvalidStage { app: 1, stage: 2, reason: "negative work" };
+        let e = ModelError::InvalidStage { app: Some(1), stage: 2, reason: "negative work" };
         assert!(e.to_string().contains("S_1^2"));
         let e = ModelError::InvalidMapping { reason: "overlap".into() };
         assert!(e.to_string().contains("overlap"));

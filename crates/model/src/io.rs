@@ -736,6 +736,8 @@ pub mod json_value {
                             Some(b'"') => out.push('"'),
                             Some(b'\\') => out.push('\\'),
                             Some(b'/') => out.push('/'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
                             Some(b'n') => out.push('\n'),
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
@@ -1022,5 +1024,9 @@ mod tests {
         // A UTF-16 surrogate pair decodes to one char.
         let v = parse(r#""\ud83d\ude00 \uD83D\uDE00""#).unwrap();
         assert_eq!(v, Value::Str("😀 😀".into()));
+        // Backspace and form feed, escaped and written back.
+        let v = parse(r#""a\bb\fc""#).unwrap();
+        assert_eq!(v, Value::Str("a\u{8}b\u{c}c".into()));
+        assert_eq!(parse(&v.pretty(0)).unwrap(), v);
     }
 }

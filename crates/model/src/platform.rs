@@ -312,9 +312,12 @@ impl Platform {
     /// The uniform communication structure seen by application `app`, if
     /// the platform is comm-homogeneous from that application's point of
     /// view: a single bandwidth plus a per-transfer inter-processor
-    /// overhead. `None` on fully heterogeneous links (and on `PerApp`
+    /// overhead. `Heterogeneous` matrices that hold one bandwidth
+    /// throughout are the `Uniform` platform spelled out and get the same
+    /// structure. `None` on any other heterogeneous links (and on `PerApp`
     /// links missing an entry for `app` — see
-    /// [`Platform::validate_for_apps`]).
+    /// [`Platform::validate_for_apps`]). This is the one definition of
+    /// uniform links: [`Platform::has_homogeneous_links`] derives from it.
     pub fn uniform_comm(&self, app: usize) -> Option<UniformComm> {
         match &self.topology {
             CommTopology::Multistage(net) => Some(UniformComm {
@@ -324,7 +327,11 @@ impl Platform {
             CommTopology::Dedicated => match &self.links {
                 Links::Uniform(b) => Some(UniformComm::dedicated(*b)),
                 Links::PerApp(bs) => bs.get(app).map(|&b| UniformComm::dedicated(b)),
-                Links::Heterogeneous { .. } => None,
+                Links::Heterogeneous { inter, input, output } => {
+                    let mut all = inter.iter().chain(input).chain(output).flatten();
+                    let b = *all.next()?;
+                    all.all(|&x| x == b).then(|| UniformComm::dedicated(b))
+                }
             },
         }
     }
@@ -368,23 +375,16 @@ impl Platform {
         }
     }
 
-    /// Whether every link has the same bandwidth (always true under a
-    /// multistage topology: the fabric is built from identical links).
+    /// Whether every link has the same bandwidth: every application sees
+    /// the same [`Platform::uniform_comm`] (always true under a multistage
+    /// topology: the fabric is built from identical links).
     pub fn has_homogeneous_links(&self) -> bool {
-        if self.is_multistage() {
-            return true;
-        }
-        match &self.links {
-            Links::Uniform(_) => true,
-            Links::PerApp(bs) => bs.windows(2).all(|w| w[0] == w[1]),
-            Links::Heterogeneous { inter, input, output } => {
-                let mut all = inter.iter().chain(input).chain(output).flatten();
-                match all.next() {
-                    None => true,
-                    Some(first) => all.all(|b| b == first),
-                }
-            }
-        }
+        let apps = match &self.links {
+            Links::PerApp(bs) => bs.len(),
+            _ => 1,
+        };
+        let first = self.uniform_comm(0);
+        first.is_some() && (1..apps).all(|a| self.uniform_comm(a) == first)
     }
 
     /// Whether all processors share the same speed set and static energy.

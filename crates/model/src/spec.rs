@@ -510,6 +510,21 @@ mod tests {
     }
 
     #[test]
+    fn invalid_stage_names_its_application() {
+        let (apps, platform) = section2_example();
+        let mut req = SolveRequest::new("s2", apps, platform, spec());
+        req.apps.apps[1].stages[0].work = 1e300;
+        let json = req.to_json_compact().unwrap();
+        assert_eq!(json.matches("1e300").count(), 1);
+        // `1e999` overflows to +∞: a non-finite work in application 1.
+        let err = SolveRequest::from_json(&json.replace("1e300", "1e999")).unwrap_err();
+        assert!(
+            err.to_string().contains("invalid stage S_1^0: negative or non-finite work"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn envelope_fields_roundtrip_and_default() {
         let (apps, platform) = section2_example();
         let req = SolveRequest::new("s2", apps, platform, spec())

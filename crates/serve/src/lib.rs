@@ -60,9 +60,9 @@ use tenant::TenantGovernor;
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 /// Default quarantine strike threshold.
 pub const DEFAULT_STRIKES: u32 = 3;
-/// Default deadline calibration: abstract [`Plan::cost_estimate`] units
-/// per millisecond (the estimates are "roughly nanoseconds", so 1e6
-/// units/ms, derated 2× for safety margin).
+/// Deadline calibration of the plan-time gate: abstract
+/// [`Plan::cost_estimate`] units per millisecond (the estimates are
+/// "roughly nanoseconds", so 1e6 units/ms, derated 2× for safety margin).
 pub const DEFAULT_COST_UNITS_PER_MS: u64 = 2_000_000;
 
 /// Server configuration.
@@ -81,9 +81,6 @@ pub struct ServeConfig {
     /// When a deadline cannot be met by the planned solver, retry the
     /// plan with `heuristic_fallback` before shedding.
     pub deadline_downgrade: bool,
-    /// Deadline calibration, [`Plan::cost_estimate`] units per
-    /// millisecond.
-    pub cost_units_per_ms: u64,
     /// Engine configuration (the memo cache lives here).
     pub engine: EngineConfig,
     /// Fault injection (`None` = no chaos).
@@ -99,7 +96,6 @@ impl Default for ServeConfig {
             burst: 64.0,
             strikes: DEFAULT_STRIKES,
             deadline_downgrade: false,
-            cost_units_per_ms: DEFAULT_COST_UNITS_PER_MS,
             engine: EngineConfig::default(),
             chaos: None,
         }
@@ -589,8 +585,8 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
         // below reports the typed unsupported verdict.
         let verdict = plan(&req.apps, &req.platform, &req.problem);
         if let Ok(p) = &verdict {
-            let units = inner.cfg.cost_units_per_ms.max(1);
-            let est_ms = p.cost_estimate(&req.apps, &req.platform, &req.problem) / units;
+            let est_ms = p.cost_estimate(&req.apps, &req.platform, &req.problem)
+                / DEFAULT_COST_UNITS_PER_MS;
             if waited + est_ms > budget_ms {
                 let mut shed = true;
                 if inner.cfg.deadline_downgrade && !req.problem.hints.heuristic_fallback {
@@ -601,7 +597,8 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
                     cheap.hints.heuristic_fallback = true;
                     cheap.hints.exact_fallback = false;
                     if let Ok(p2) = plan(&req.apps, &req.platform, &cheap) {
-                        let est2 = p2.cost_estimate(&req.apps, &req.platform, &cheap) / units;
+                        let est2 = p2.cost_estimate(&req.apps, &req.platform, &cheap)
+                            / DEFAULT_COST_UNITS_PER_MS;
                         if waited + est2 <= budget_ms {
                             key = (entry.key.0, hash_spec(&cheap));
                             planned = Some(Ok(p2));

@@ -13,6 +13,7 @@
 use concurrent_pipelines::model::generator::{dsp_radio_app, video_encoding_app};
 use concurrent_pipelines::prelude::*;
 use concurrent_pipelines::solvers::pareto::period_energy_front;
+use concurrent_pipelines::solvers::sweep::Sweep;
 use concurrent_pipelines::solvers::tri::unimodal::min_period_tri_unimodal;
 use concurrent_pipelines::solvers::MappingKind;
 
@@ -23,21 +24,21 @@ fn main() {
         Platform::fully_homogeneous(8, vec![0.5, 1.0, 2.0, 4.0], 4.0).expect("valid platform");
 
     // Precompute the full trade-off curve once.
-    let front = period_energy_front(&apps, &platform, CommModel::Overlap, MappingKind::Interval);
+    let front = period_energy_front(&apps, &platform, CommModel::Overlap, MappingKind::Interval, &Sweep::default());
     println!("multi-modal platform: {} Pareto points\n", front.len());
     println!("{:>10} | {:>10} | {:>10} | {:>6}", "budget E≤", "period", "energy", "procs");
     for budget in [200.0, 100.0, 50.0, 25.0, 12.0, 6.0, 3.0, 1.0] {
         // The fastest front point within budget.
         let best = front
             .iter()
-            .filter(|pt| pt.energy <= budget + 1e-9)
-            .min_by(|a, b| a.period.partial_cmp(&b.period).expect("finite"));
+            .filter(|pt| pt.objective <= budget + 1e-9)
+            .min_by(|a, b| a.achieved.partial_cmp(&b.achieved).expect("finite"));
         match best {
             Some(pt) => println!(
                 "{:>10} | {:>10.3} | {:>10.2} | {:>6}",
                 budget,
-                pt.period,
-                pt.energy,
+                pt.achieved,
+                pt.objective,
                 pt.solution.mapping.enrolled()
             ),
             None => println!("{budget:>10} | battery too low for any mapping"),
@@ -49,11 +50,11 @@ fn main() {
     for budget in [1.0, 3.0, 6.0, 12.0, 25.0, 50.0, 100.0, 200.0] {
         if let Some(pt) = front
             .iter()
-            .filter(|pt| pt.energy <= budget + 1e-9)
-            .min_by(|a, b| a.period.partial_cmp(&b.period).expect("finite"))
+            .filter(|pt| pt.objective <= budget + 1e-9)
+            .min_by(|a, b| a.achieved.partial_cmp(&b.achieved).expect("finite"))
         {
-            assert!(pt.period <= last + 1e-9);
-            last = pt.period;
+            assert!(pt.achieved <= last + 1e-9);
+            last = pt.achieved;
         }
     }
 

@@ -17,7 +17,7 @@ use concurrent_pipelines::prelude::*;
 use concurrent_pipelines::simulator::simulate;
 use concurrent_pipelines::solvers::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use concurrent_pipelines::solvers::mono::latency::min_latency_interval_comm_hom;
-use concurrent_pipelines::solvers::tri::multimodal::branch_and_bound_tri;
+use concurrent_pipelines::solvers::tri::multimodal::branch_and_bound_tri_counted;
 use concurrent_pipelines::solvers::{Criterion, MappingKind};
 
 fn describe(name: &str, apps: &AppSet, platform: &Platform, mapping: &Mapping) {
@@ -86,7 +86,7 @@ fn main() {
 
     // 4. The compromise: minimum energy under period ≤ 2 (paper: 46),
     //    via the exact tri-criteria branch-and-bound.
-    let compromise = branch_and_bound_tri(
+    let compromise = branch_and_bound_tri_counted(
         &apps,
         &platform,
         CommModel::Overlap,
@@ -94,6 +94,7 @@ fn main() {
         &[2.0, 2.0],
         &[f64::INFINITY, f64::INFINITY],
     )
+    .0
     .expect("feasible");
     describe("energy under period ≤ 2 (paper: 46)", &apps, &platform, &compromise.mapping);
     assert!((compromise.objective - 46.0).abs() < 1e-9);

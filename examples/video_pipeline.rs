@@ -12,6 +12,7 @@ use concurrent_pipelines::model::generator::video_encoding_app;
 use concurrent_pipelines::prelude::*;
 use concurrent_pipelines::simulator::simulate;
 use concurrent_pipelines::solvers::pareto::period_energy_front;
+use concurrent_pipelines::solvers::sweep::Sweep;
 use concurrent_pipelines::solvers::MappingKind;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     println!("workload: {} ({} stages, total work {})", apps.apps[0].name, apps.apps[0].n(), apps.apps[0].total_work());
     println!("platform: {} processors, modes {:?}\n", platform.p(), platform.procs[0].speeds());
 
-    let front = period_energy_front(&apps, &platform, CommModel::Overlap, MappingKind::Interval);
+    let front = period_energy_front(&apps, &platform, CommModel::Overlap, MappingKind::Interval, &Sweep::default());
     println!("period/energy Pareto front ({} points):", front.len());
     println!("{:>10} {:>10} {:>7} {:>24}", "period", "energy", "procs", "modes");
     for pt in &front {
@@ -36,8 +37,8 @@ fn main() {
             .collect();
         println!(
             "{:>10.3} {:>10.2} {:>7} {:>24}",
-            pt.period,
-            pt.energy,
+            pt.achieved,
+            pt.objective,
             pt.solution.mapping.enrolled(),
             format!("{modes:?}")
         );
@@ -48,16 +49,16 @@ fn main() {
     let knee = front
         .iter()
         .min_by(|a, b| {
-            (a.period * a.energy)
-                .partial_cmp(&(b.period * b.energy))
+            (a.achieved * a.objective)
+                .partial_cmp(&(b.achieved * b.objective))
                 .expect("finite")
         })
         .expect("non-empty front");
     println!(
         "\nknee point: period {:.3}, energy {:.2} (period × energy = {:.2})",
-        knee.period,
-        knee.energy,
-        knee.period * knee.energy
+        knee.achieved,
+        knee.objective,
+        knee.achieved * knee.objective
     );
 
     // Validate in the simulator: the measured steady-state frame rate must
@@ -67,10 +68,10 @@ fn main() {
         "simulated 128 frames: measured period {:.3} (analytic {:.3}), \
          throughput {:.3} frames/time-unit",
         report.period,
-        knee.period,
+        knee.achieved,
         1.0 / report.period
     );
-    assert!((report.period - knee.period).abs() < 1e-6);
+    assert!((report.period - knee.achieved).abs() < 1e-6);
 
     // How much energy does the platform save versus running everything at
     // top speed with the same mapping?
@@ -81,7 +82,7 @@ fn main() {
          for a {:.0}% longer period",
         ev.period(&full_speed, CommModel::Overlap),
         ev.energy(&full_speed),
-        100.0 * (1.0 - knee.energy / ev.energy(&full_speed)),
-        100.0 * (knee.period / ev.period(&full_speed, CommModel::Overlap) - 1.0)
+        100.0 * (1.0 - knee.objective / ev.energy(&full_speed)),
+        100.0 * (knee.achieved / ev.period(&full_speed, CommModel::Overlap) - 1.0)
     );
 }

@@ -16,7 +16,7 @@
 use concurrent_pipelines::model::gadgets::*;
 use concurrent_pipelines::prelude::*;
 use concurrent_pipelines::solvers::exact::{exact_optimize, ExactConfig, SpeedPolicy};
-use concurrent_pipelines::solvers::tri::multimodal::{branch_and_bound_tri, tri_feasible};
+use concurrent_pipelines::solvers::tri::multimodal::{branch_and_bound_tri_counted, tri_feasible};
 use concurrent_pipelines::solvers::{Criterion, MappingKind};
 
 /// A small YES 3-PARTITION instance (`B = 12`, all items 4).
@@ -180,14 +180,15 @@ fn theorem26_no_instance_is_infeasible() {
         let inst = TwoPartition::no_instance(3, seed);
         assert!(inst.solve().is_none());
         let gadget = theorem26_encode(&inst);
-        let sol = branch_and_bound_tri(
+        let sol = branch_and_bound_tri_counted(
             &gadget.apps,
             &gadget.platform,
             CommModel::Overlap,
             MappingKind::OneToOne,
             &[gadget.target_period],
             &[gadget.target_latency],
-        );
+        )
+        .0;
         match sol {
             None => {} // no mapping meets period+latency at all
             Some(s) => assert!(

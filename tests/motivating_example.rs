@@ -7,7 +7,7 @@ use concurrent_pipelines::simulator::simulate;
 use concurrent_pipelines::solvers::exact::{exact_optimize, ExactConfig, SpeedPolicy};
 use concurrent_pipelines::solvers::heuristics::{local_search, LocalSearchConfig};
 use concurrent_pipelines::solvers::mono::latency::min_latency_interval_comm_hom;
-use concurrent_pipelines::solvers::tri::multimodal::branch_and_bound_tri;
+use concurrent_pipelines::solvers::tri::multimodal::branch_and_bound_tri_counted;
 use concurrent_pipelines::solvers::{Criterion, MappingKind};
 
 fn cfg(kind: MappingKind, speed: SpeedPolicy) -> ExactConfig {
@@ -63,7 +63,7 @@ fn minimum_energy_is_10_with_period_14() {
 #[test]
 fn energy_under_period_2_is_46_and_period_optimal_mapping_costs_136() {
     let (apps, pf) = section2_example();
-    let sol = branch_and_bound_tri(
+    let sol = branch_and_bound_tri_counted(
         &apps,
         &pf,
         CommModel::Overlap,
@@ -71,6 +71,7 @@ fn energy_under_period_2_is_46_and_period_optimal_mapping_costs_136() {
         &[2.0, 2.0],
         &[f64::INFINITY, f64::INFINITY],
     )
+    .0
     .expect("feasible");
     assert!((sol.objective - 46.0).abs() < 1e-9);
     // The period-optimal mapping runs all three processors in their top
